@@ -7,14 +7,15 @@
 //   {"bench":"parallel_stage1","algo":"hash","objects":N,"edges":M,
 //    "threads":T,"stage1_ms":X,"speedup":S}
 //   {"bench":"parallel_stage2","algo":"greedy","types":T,"threads":N,
-//    "cluster_ms":X,"speedup":S}
+//    "cluster_ms":X,"speedup":S,"rescans":R,"distance_evals":D}
 //   {"bench":"parallel_stage3","algo":"recast","objects":N,"edges":M,
 //    "threads":T,"recast_ms":X,"speedup":S}
 //
 // "speedup" is sequential-reference-ms / this-row-ms, so the reference row
 // itself reports 1.0. Every parallel run is verified bit-identical to the
 // reference before its row prints — Stage 1: home vector AND typing
-// program; Stage 2: merge steps, final program, map, weights; Stage 3:
+// program; Stage 2: merge steps, final program, map, weights and work
+// counters (rescans, fold-ins, distance evaluations); Stage 3:
 // full assignment and exact/fallback/untyped counts. A mismatch exits 1.
 // Wall-clock parallel speedup obviously requires the machine to have
 // cores — the row stream includes a "context" row with
@@ -111,7 +112,7 @@ int Run(int scale, int reps) {
     PrintRow("hash", g->NumObjects(), g->NumEdges(), threads, m.ms, ref.ms);
   }
 
-  // ---- Stage 2: greedy clustering, sharded distance scan + maintenance.
+  // ---- Stage 2: greedy clustering, sharded best-move maintenance.
   const typing::PerfectTypingResult& stage1 = ref.result;
   cluster::ClusteringOptions copt;
   copt.target_num_types = 6;
@@ -130,8 +131,10 @@ int Run(int scale, int reps) {
   auto [seq2_ms, ref_cluster] = measure_cluster({});
   std::printf(
       "{\"bench\":\"parallel_stage2\",\"algo\":\"greedy\",\"types\":%zu,"
-      "\"threads\":1,\"cluster_ms\":%.3f,\"speedup\":1.000}\n",
-      stage1.program.NumTypes(), seq2_ms);
+      "\"threads\":1,\"cluster_ms\":%.3f,\"speedup\":1.000,"
+      "\"rescans\":%zu,\"distance_evals\":%zu}\n",
+      stage1.program.NumTypes(), seq2_ms, ref_cluster.rescans,
+      ref_cluster.distance_evals);
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     util::PoolRef pool(nullptr, threads);
@@ -147,7 +150,10 @@ int Run(int scale, int reps) {
     }
     if (!same_steps || !(r.final_program == ref_cluster.final_program) ||
         r.final_map != ref_cluster.final_map ||
-        r.final_weights != ref_cluster.final_weights) {
+        r.final_weights != ref_cluster.final_weights ||
+        r.rescans != ref_cluster.rescans ||
+        r.fold_ins != ref_cluster.fold_ins ||
+        r.distance_evals != ref_cluster.distance_evals) {
       std::fprintf(stderr,
                    "FAIL: clustering at %zu threads diverged from the "
                    "sequential reference\n",
@@ -156,9 +162,10 @@ int Run(int scale, int reps) {
     }
     std::printf(
         "{\"bench\":\"parallel_stage2\",\"algo\":\"greedy\",\"types\":%zu,"
-        "\"threads\":%zu,\"cluster_ms\":%.3f,\"speedup\":%.3f}\n",
+        "\"threads\":%zu,\"cluster_ms\":%.3f,\"speedup\":%.3f,"
+        "\"rescans\":%zu,\"distance_evals\":%zu}\n",
         stage1.program.NumTypes(), threads, ms,
-        ms > 0 ? seq2_ms / ms : 0.0);
+        ms > 0 ? seq2_ms / ms : 0.0, r.rescans, r.distance_evals);
   }
 
   // ---- Stage 3: recast (parallel GFP + sharded sweep + fallback).

@@ -32,7 +32,9 @@
 // Stage-1 all-pairs scan: the sorted-vector reference
 // (TypeSignature::SymmetricDifferenceSize) vs the packed XOR+popcount
 // kernel (BitSignatureIndex). Both sums are checked equal before the rows
-// print; a mismatch exits 1.
+// print; a mismatch exits 1. The scan is the one k-center and exhaustive
+// search run to fill their matrices; greedy clustering (cluster_ms) uses
+// neither kernel — it computes sparse distances on demand.
 
 #include <algorithm>
 #include <cstdio>
@@ -119,7 +121,7 @@ double BenchApplyDelta(const std::shared_ptr<const graph::FrozenGraph>& frozen) 
   return best;
 }
 
-/// Times the Stage-2 all-pairs distance scan on both kernels (best of 3,
+/// Times the all-pairs distance scan on both kernels (best of 3,
 /// repeated until each timed run covers a few million pair distances so
 /// small scales still produce stable numbers). Returns false if the two
 /// kernels disagree on the summed distance.
@@ -152,8 +154,8 @@ bool BenchDistanceKernels(const typing::TypingProgram& p, bool json,
   double bit_ms = 1e300;
   for (int best = 0; best < 3; ++best) {
     util::WallTimer t;
-    // Encoding is part of the kernel's cost: bill it like the clusterer
-    // does (once per scan, then XOR+popcount per pair).
+    // Encoding is part of the kernel's cost: bill it like k-center does
+    // (once per scan, then XOR+popcount per pair).
     typing::BitSignatureIndex index(p);
     std::vector<typing::BitSignature> enc(n);
     for (size_t i = 0; i < n; ++i) {

@@ -1,8 +1,5 @@
 #include "cluster/distance.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace schemex::cluster {
 
 std::string_view PsiKindName(PsiKind kind) {
@@ -21,30 +18,6 @@ std::string_view PsiKindName(PsiKind kind) {
       return "psi5";
   }
   return "?";
-}
-
-double WeightedDistance(PsiKind kind, double w1, double w2, size_t d,
-                        size_t L) {
-  if (d == 0) return 0.0;
-  w1 = std::max(w1, 1.0);
-  w2 = std::max(w2, 1.0);
-  const double dd = static_cast<double>(d);
-  const double ll = std::max<double>(static_cast<double>(L), 2.0);
-  switch (kind) {
-    case PsiKind::kSimpleD:
-      return dd;
-    case PsiKind::kPsi1:
-      return std::pow(ll, dd) / (w1 * w2);
-    case PsiKind::kPsi2:
-      return dd * w2;
-    case PsiKind::kPsi3:
-      return std::pow(w1 * w2, 1.0 / dd);
-    case PsiKind::kPsi4:
-      return std::pow(ll, dd) * w2;
-    case PsiKind::kPsi5:
-      return std::pow(w2 / w1, 1.0 / dd);
-  }
-  return dd;
 }
 
 }  // namespace schemex::cluster

@@ -1,6 +1,8 @@
 #ifndef SCHEMEX_CLUSTER_DISTANCE_H_
 #define SCHEMEX_CLUSTER_DISTANCE_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <string_view>
 
@@ -10,10 +12,12 @@
 namespace schemex::cluster {
 
 /// The bit-parallel distance kernel (XOR + popcount over the program's
-/// typed-link universe) used by the Stage-2/Stage-3 hot loops. Defined in
-/// typing/ so Stage 3 can share it; re-exported here because clustering is
-/// its primary consumer. SimpleDistance below stays the sorted-vector
-/// reference the kernel is property-tested against.
+/// typed-link universe). Only the k-center and exhaustive-search
+/// clusterers (all-pairs matrices) and Stage 3's recast use it; greedy
+/// clustering computes sparse distances on demand over sorted typed-link
+/// id lists in O(n + sum of |body|) memory (greedy.cc). Defined in typing/
+/// so Stage 3 can share it. SimpleDistance below stays the sorted-vector
+/// reference both are tested against.
 using BitSignature = typing::BitSignature;
 using BitSignatureIndex = typing::BitSignatureIndex;
 
@@ -43,8 +47,31 @@ std::string_view PsiKindName(PsiKind kind);
 ///    finite when a virtual (e.g. empty) type starts at weight 0;
 ///  * results may overflow to +inf for the exponential kinds (L^d); +inf
 ///    compares correctly in "pick the minimum" loops.
-double WeightedDistance(PsiKind kind, double w1, double w2, size_t d,
-                        size_t L);
+///
+/// Inline: Stage 2 prices millions of candidates per clustering.
+inline double WeightedDistance(PsiKind kind, double w1, double w2, size_t d,
+                               size_t L) {
+  if (d == 0) return 0.0;
+  w1 = std::max(w1, 1.0);
+  w2 = std::max(w2, 1.0);
+  const double dd = static_cast<double>(d);
+  const double ll = std::max<double>(static_cast<double>(L), 2.0);
+  switch (kind) {
+    case PsiKind::kSimpleD:
+      return dd;
+    case PsiKind::kPsi1:
+      return std::pow(ll, dd) / (w1 * w2);
+    case PsiKind::kPsi2:
+      return dd * w2;
+    case PsiKind::kPsi3:
+      return std::pow(w1 * w2, 1.0 / dd);
+    case PsiKind::kPsi4:
+      return std::pow(ll, dd) * w2;
+    case PsiKind::kPsi5:
+      return std::pow(w2 / w1, 1.0 / dd);
+  }
+  return dd;
+}
 
 /// d(t1, t2): symmetric difference of the two rule bodies (Example 5.2).
 inline size_t SimpleDistance(const typing::TypeSignature& a,

@@ -1,6 +1,7 @@
 #include "cluster/exact.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "cluster/distance.h"
@@ -18,15 +19,15 @@ using typing::TypingProgram;
 
 /// Builds the candidate program for one partition: group definitions are
 /// weighted medoids, targets remapped to group ids. `d` is the
-/// precomputed all-pairs simple-distance matrix (bit kernel) — the
-/// enumeration evaluates every partition against the same Stage-1
-/// signatures, so the matrix is computed once per call, not per
-/// partition.
+/// precomputed all-pairs simple-distance matrix (bit kernel, flat
+/// row-major n x n) — the enumeration evaluates every partition against
+/// the same Stage-1 signatures, so the matrix is computed once per call,
+/// not per partition.
 TypingProgram BuildProgram(const TypingProgram& stage1,
                            const std::vector<uint32_t>& weights,
                            const std::vector<TypeId>& group_of,
                            size_t num_groups,
-                           const std::vector<std::vector<size_t>>& d) {
+                           const std::vector<uint32_t>& d) {
   const size_t n = stage1.NumTypes();
   std::vector<std::vector<size_t>> members(num_groups);
   for (size_t i = 0; i < n; ++i) {
@@ -39,7 +40,7 @@ TypingProgram BuildProgram(const TypingProgram& stage1,
     for (size_t m : members[gidx]) {
       uint64_t cost = 0;
       for (size_t j : members[gidx]) {
-        cost += static_cast<uint64_t>(weights[j]) * d[j][m];
+        cost += static_cast<uint64_t>(weights[j]) * d[j * n + m];
       }
       if (cost < best_cost) {
         best_cost = cost;
@@ -71,8 +72,9 @@ util::StatusOr<ExactResult> ExactOptimalTyping(
   ExactResult best;
   best.defect = std::numeric_limits<size_t>::max();
 
-  // All-pairs signature distances on the bit kernel, once up front.
-  std::vector<std::vector<size_t>> d(n, std::vector<size_t>(n, 0));
+  // All-pairs signature distances on the bit kernel, once up front, in
+  // one flat row-major n x n matrix.
+  std::vector<uint32_t> d(n * n, 0);
   {
     typing::BitSignatureIndex index(stage1.program);
     std::vector<typing::BitSignature> enc(n);
@@ -82,8 +84,8 @@ util::StatusOr<ExactResult> ExactOptimalTyping(
     }
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = i + 1; j < n; ++j) {
-        d[i][j] = d[j][i] =
-            typing::BitSignatureIndex::Distance(enc[i], enc[j]);
+        d[i * n + j] = d[j * n + i] = static_cast<uint32_t>(
+            typing::BitSignatureIndex::Distance(enc[i], enc[j]));
       }
     }
   }

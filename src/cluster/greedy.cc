@@ -1,7 +1,11 @@
 #include "cluster/greedy.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
+#include <span>
+#include <unordered_map>
 
 #include "util/parallel_for.h"
 #include "util/string_util.h"
@@ -10,6 +14,7 @@ namespace schemex::cluster {
 
 namespace {
 
+using typing::TypedLink;
 using typing::TypeId;
 using typing::TypeSignature;
 using typing::TypingProgram;
@@ -45,20 +50,35 @@ struct Candidate {
   }
 };
 
-/// The greedy clusterer, organised as *sharded compute, sequential
-/// reduce* (the Stage-1 playbook): every merge step runs three phases —
+/// True for the psi kinds whose price never falls as d grows (weights
+/// fixed), so pricing a lower bound on d(s, t) bounds the candidate.
+bool CostRisesWithD(PsiKind psi) {
+  switch (psi) {
+    case PsiKind::kSimpleD:
+    case PsiKind::kPsi1:
+    case PsiKind::kPsi2:
+    case PsiKind::kPsi4:
+      return true;
+    case PsiKind::kPsi3:
+    case PsiKind::kPsi5:
+      return false;
+  }
+  return false;
+}
+
+/// The greedy clusterer. It keeps no pairwise state: every rule body is a
+/// sorted list of dense typed-link ids in one flat arena, and d(s, t) is
+/// computed when a candidate is priced. Every merge step runs two phases:
 ///
 ///   M (sequential): apply the hypercube projection / link drop to the
-///     affected rule bodies and re-encode them on the bit kernel. This is
-///     the only phase that grows the BitSignatureIndex universe, so bit
-///     assignment order is identical for every thread count.
-///   D (sharded): recompute the simple-distance matrix entries whose
-///     endpoints changed, each unordered pair owned by its lower row so
-///     workers write disjoint cells.
-///   B (sharded): restore every live source's cached best move, either by
-///     a full rescan (when its own body or its cached destination
-///     changed) or by folding in just the changed destinations. Each
-///     worker writes only its own best_[j] slots.
+///     affected rule bodies and re-encode them in place (bodies only
+///     shrink). This is the only place new typed links get ids, so id
+///     order is identical for every thread count.
+///   B (sharded): restore every live source's cached best move. A source
+///     is rescanned only if its own body or weight changed or its cached
+///     destination died; otherwise its cached move is re-priced, kept if
+///     it did not get dearer, and the changed candidates are folded in.
+///     Each worker writes only its own best_[j] slots and its own scratch.
 ///
 /// All phase inputs are frozen before the shards launch and every value
 /// is a pure function of them, so the result is bit-identical at any
@@ -73,25 +93,40 @@ class GreedyClusterer {
       : options_(options),
         n_(stage1.NumTypes()),
         pool_(pool),
-        threads_(threads),
+        shards_(util::ShardRanges(n_, threads)),
+        scratch_(shards_.size()),
+        rises_(CostRisesWithD(options.psi)),
         names_(n_),
         sig_(n_),
-        enc_(n_),
+        off_(n_),
+        len_(n_),
+        sketch_(n_),
         weight_(n_),
+        log_w_(n_),
+        initial_weight_(n_),
         alive_(n_, true),
         changed_(n_, 0),
         cluster_of_(n_),
+        best_(n_),
         big_l_(stage1.NumDistinctTypedLinks()) {
+    size_t arena = 0;
     for (size_t i = 0; i < n_; ++i) {
       names_[i] = stage1.type(static_cast<TypeId>(i)).name;
       sig_[i] = stage1.type(static_cast<TypeId>(i)).signature;
       weight_[i] = weights[i];
+      log_w_[i] = std::log(std::max(weight_[i], 1.0));
+      initial_weight_[i] = weights[i];
       cluster_of_[i] = static_cast<TypeId>(i);
+      live_.push_back(i);
+      off_[i] = arena;
+      arena += sig_[i].size();
     }
-    InitDistances();
-    best_.resize(n_);
-    ForEachShard([&](size_t begin, size_t end) {
-      for (size_t s = begin; s < end; ++s) RecomputeBest(s);
+    ids_.resize(arena);
+    // Sequential encode fixes the id universe in type order.
+    for (size_t i = 0; i < n_; ++i) EncodeBody(i);
+    GrowScratch();
+    ForEachShard([&](Scratch& sc, size_t begin, size_t end) {
+      for (size_t s = begin; s < end; ++s) RecomputeBest(s, sc);
     });
   }
 
@@ -116,6 +151,13 @@ class GreedyClusterer {
       }
     }
     result.total_distance = total;
+    // Each shard tallied a contiguous run of sources; summing the shards
+    // in order is the per-source sum in source order.
+    for (const Scratch& sc : scratch_) {
+      result.rescans += sc.rescans;
+      result.fold_ins += sc.fold_ins;
+      result.distance_evals += sc.distance_evals;
+    }
     Snapshot fin = MakeSnapshot(total);
     result.final_program = std::move(fin.program);
     result.final_map = std::move(fin.stage1_to_snapshot);
@@ -132,76 +174,169 @@ class GreedyClusterer {
   }
 
  private:
-  size_t D(size_t a, size_t b) const { return d_[a * n_ + b]; }
-  void SetD(size_t a, size_t b, size_t v) {
-    d_[a * n_ + b] = static_cast<uint32_t>(v);
-    d_[b * n_ + a] = static_cast<uint32_t>(v);
-  }
+  /// Per-shard working state: a stamp per typed-link id marking the
+  /// source body of the current rescan, and the shard's work tallies.
+  /// Cache-line aligned so workers bumping their tallies never share one.
+  struct alignas(64) Scratch {
+    std::vector<uint32_t> mark;
+    uint32_t epoch = 0;
+    size_t rescans = 0;
+    size_t fold_ins = 0;
+    size_t distance_evals = 0;
+  };
 
-  /// Runs fn over row shards of [0, n) — on the pool when one was given,
-  /// inline (in order) otherwise.
+  /// Runs fn(scratch, begin, end) over row shards of [0, n) — on the pool
+  /// when one was given, inline (in order) otherwise.
   template <typename Fn>
   void ForEachShard(Fn&& fn) {
-    auto shards = util::ShardRanges(n_, threads_);
-    util::RunShards(pool_, shards.size(), [&](size_t s) {
-      fn(shards[s].first, shards[s].second);
+    util::RunShards(pool_, shards_.size(), [&](size_t s) {
+      fn(scratch_[s], shards_[s].first, shards_[s].second);
     });
   }
 
-  void InitDistances() {
-    initial_weight_.resize(n_);
-    for (size_t i = 0; i < n_; ++i) {
-      initial_weight_[i] = static_cast<uint64_t>(weight_[i]);
+  std::span<const uint32_t> Body(size_t i) const {
+    return {ids_.data() + off_[i], len_[i]};
+  }
+
+  /// Writes sig_[i] into its arena slot as sorted typed-link ids, giving
+  /// unseen links the next id. Bodies only shrink under RemapTarget /
+  /// Erase, so the slot sized at construction always fits.
+  void EncodeBody(size_t i) {
+    uint32_t* out = ids_.data() + off_[i];
+    size_t len = 0;
+    for (const TypedLink& l : sig_[i].links()) {
+      // Lookup-only map: it is never iterated, so its order is irrelevant.
+      auto it = link_id_.try_emplace(l, static_cast<uint32_t>(link_id_.size()))
+                    .first;
+      out[len++] = it->second;
     }
-    // Sequential encode fixes the bit universe in type order.
-    for (size_t i = 0; i < n_; ++i) enc_[i] = index_.Encode(sig_[i]);
-    d_.assign(n_ * n_, 0);
-    ForEachShard([&](size_t begin, size_t end) {
-      for (size_t a = begin; a < end; ++a) {
-        for (size_t b = a + 1; b < n_; ++b) {
-          SetD(a, b, BitSignatureIndex::Distance(enc_[a], enc_[b]));
-        }
+    std::sort(out, out + len);
+    len_[i] = len;
+    uint64_t sketch = 0;
+    for (size_t k = 0; k < len; ++k) sketch |= uint64_t{1} << (out[k] % 64);
+    sketch_[i] = sketch;
+  }
+
+  /// Sizes every shard's marker array to the current id universe.
+  void GrowScratch() {
+    for (Scratch& sc : scratch_) sc.mark.resize(link_id_.size(), 0);
+  }
+
+  /// d(a, b) by merging the two sorted id lists.
+  size_t MergeDistance(size_t a, size_t b) const {
+    std::span<const uint32_t> x = Body(a);
+    std::span<const uint32_t> y = Body(b);
+    size_t common = 0;
+    for (size_t i = 0, j = 0; i < x.size() && j < y.size();) {
+      if (x[i] < y[j]) {
+        ++i;
+      } else if (y[j] < x[i]) {
+        ++j;
+      } else {
+        ++common;
+        ++i;
+        ++j;
       }
-    });
+    }
+    return x.size() + y.size() - 2 * common;
   }
 
-  double Cost(size_t dest, size_t source, size_t dist) const {
-    return WeightedDistance(options_.psi, weight_[dest], weight_[source],
-                            dist, big_l_);
-  }
-
-  Candidate MakeCandidate(size_t s, size_t t) const {
-    return Candidate{static_cast<TypeId>(s), static_cast<TypeId>(t),
-                     D(s, t), Cost(t, s, D(s, t))};
+  Candidate MakeCandidate(size_t s, size_t t, size_t d) const {
+    return Candidate{static_cast<TypeId>(s), static_cast<TypeId>(t), d,
+                     WeightedDistance(options_.psi, weight_[t], weight_[s], d,
+                                      big_l_)};
   }
 
   Candidate MakeEmptyCandidate(size_t s) const {
-    return Candidate{static_cast<TypeId>(s), kEmptyType, sig_[s].size(),
+    return Candidate{static_cast<TypeId>(s), kEmptyType, len_[s],
                      WeightedDistance(options_.psi,
                                       std::max(empty_weight_, 1.0),
-                                      weight_[s], sig_[s].size(), big_l_)};
+                                      weight_[s], len_[s], big_l_)};
   }
 
-  /// Full rescan of the best move out of source `s`.
-  void RecomputeBest(size_t s) {
+  /// Prices the move of `s` into live type `t` outside a rescan, merging
+  /// the two sorted id lists.
+  Candidate Price(size_t s, TypeId t, Scratch& sc) const {
+    ++sc.distance_evals;
+    size_t dest = static_cast<size_t>(t);
+    return MakeCandidate(s, dest, MergeDistance(s, dest));
+  }
+
+  /// A lower bound on d(s, t): the size gap ||s| - |t||, or the number of
+  /// sketch buckets only one body hits (each such bucket holds a link of
+  /// that body missing from the other).
+  size_t LeastD(size_t s, size_t t) const {
+    size_t gap = len_[s] > len_[t] ? len_[s] - len_[t] : len_[t] - len_[s];
+    return std::max(
+        gap, static_cast<size_t>(std::popcount(sketch_[s] ^ sketch_[t])));
+  }
+
+  /// For psi3 and psi5, which may fall as d grows: a floor on ln(price)
+  /// of moving `s` into `t` over lo <= d <= |s| + |t|, lo >= 1. For fixed
+  /// weights both are monotone in d, so the floor sits at one end.
+  double LogPriceFloor(size_t s, size_t t, size_t lo) const {
+    const double hi = static_cast<double>(len_[s] + len_[t]);
+    if (options_.psi == PsiKind::kPsi3) return (log_w_[s] + log_w_[t]) / hi;
+    const double r = log_w_[s] - log_w_[t];  // psi5: ln(w2 / w1)
+    return r >= 0 ? r / hi : r / static_cast<double>(lo);
+  }
+
+  /// True if moving `s` into `t` cannot beat `best` (whose price has log
+  /// `log_best`) at any d from LeastD(s, t) to |s| + |t|, so the candidate
+  /// need not be priced. Kinds that rise with d are priced at LeastD
+  /// exactly. For psi3 and psi5 the log-space floor must clear log_best
+  /// by a slack far above the rounding of pow and log, so a candidate
+  /// that ties or wins is never skipped.
+  bool CannotBeat(size_t s, size_t t, const Candidate& best,
+                  double log_best) const {
+    const size_t lo = LeastD(s, t);
+    if (rises_) return !MakeCandidate(s, t, lo).BeatsAsDest(best);
+    if (lo == 0) return false;  // d may be 0, which is free
+    const double floor = LogPriceFloor(s, t, lo);
+    // A floor of 0 (psi3 with unit weights, psi5 with equal ones) means
+    // the price is exactly 1 at every d >= 1: compare exactly.
+    if (floor == 0) return !MakeCandidate(s, t, lo).BeatsAsDest(best);
+    return floor > log_best + 1e-9;
+  }
+
+  /// ln(best.cost), which CannotBeat needs for psi3 and psi5 only.
+  double LogCost(const Candidate& best) const {
+    return rises_ ? 0 : std::log(best.cost);
+  }
+
+  /// Full rescan of the best move out of source `s`: marks s's ids, then
+  /// counts each candidate's ids that hit a mark, skipping the candidates
+  /// CannotBeat rules out unpriced.
+  void RecomputeBest(size_t s, Scratch& sc) {
+    if (++sc.epoch == 0) {  // stamp wrapped: forget every old mark
+      std::fill(sc.mark.begin(), sc.mark.end(), 0);
+      sc.epoch = 1;
+    }
+    for (uint32_t id : Body(s)) sc.mark[id] = sc.epoch;
     Candidate best;
     best.source = static_cast<TypeId>(s);
-    for (size_t t = 0; t < n_; ++t) {
-      if (t == s || !alive_[t]) continue;
-      Candidate c = MakeCandidate(s, t);
-      if (c.BeatsAsDest(best)) best = c;
-    }
     if (options_.enable_empty_type) {
       Candidate c = MakeEmptyCandidate(s);
       if (c.BeatsAsDest(best)) best = c;
+    }
+    double log_best = LogCost(best);
+    for (size_t t : live_) {
+      if (t == s || CannotBeat(s, t, best, log_best)) continue;
+      size_t common = 0;
+      for (uint32_t id : Body(t)) common += sc.mark[id] == sc.epoch;
+      ++sc.distance_evals;
+      Candidate c = MakeCandidate(s, t, len_[s] + len_[t] - 2 * common);
+      if (c.BeatsAsDest(best)) {
+        best = c;
+        log_best = LogCost(best);
+      }
     }
     best_[s] = best;
   }
 
   Candidate PickGlobalBest() const {
     Candidate best;  // source = -1, cost = inf
-    for (size_t s = 0; s < n_; ++s) {
-      if (!alive_[s]) continue;
+    for (size_t s : live_) {
       if (best_[s].dest == -1 && best_[s].cost ==
                                      std::numeric_limits<double>::infinity()) {
         continue;  // no destination available (single cluster, no empty)
@@ -211,38 +346,74 @@ class GreedyClusterer {
     return best;
   }
 
-  bool PsiDependsOnDestWeight() const {
-    switch (options_.psi) {
-      case PsiKind::kPsi1:
-      case PsiKind::kPsi3:
-      case PsiKind::kPsi5:
-        return true;
-      case PsiKind::kSimpleD:
-      case PsiKind::kPsi2:
-      case PsiKind::kPsi4:
-        return false;
+  /// Phase B over the sources [begin, end) after merge `c`: restores each
+  /// live best_[j] to the true minimum under (cost, dest-rank). Only the
+  /// candidates in changed_list_ and, after an empty move, the empty type
+  /// can have changed price. Every other candidate kept its price and
+  /// already lost to the cached move, so if that move did not get dearer
+  /// it still beats them, and folding in the changed candidates yields the
+  /// exact minimum a rescan would find.
+  void RestoreShard(const Candidate& c, Scratch& sc, size_t begin,
+                    size_t end) {
+    const bool empty_dest = c.dest == kEmptyType;
+    for (size_t j = begin; j < end; ++j) {
+      if (!alive_[j]) continue;
+      Candidate& best = best_[j];
+      const TypeId cached = best.dest;
+      // Rescan if j's own body or weight changed or its destination died;
+      // otherwise re-price the cached move if its price may have moved,
+      // and rescan only if it got dearer.
+      bool rescan = changed_[j] || cached == c.source;
+      if (!rescan && (cached >= 0 ? changed_[static_cast<size_t>(cached)]
+                                  : cached == kEmptyType && empty_dest)) {
+        ++sc.fold_ins;
+        Candidate now = cached == kEmptyType ? MakeEmptyCandidate(j)
+                                             : Price(j, cached, sc);
+        rescan = now.cost > best.cost;
+        if (!rescan) best = now;
+      }
+      if (rescan) {
+        ++sc.rescans;
+        RecomputeBest(j, sc);
+        continue;
+      }
+      double log_best = LogCost(best);
+      for (size_t t : changed_list_) {
+        if (t == j || static_cast<TypeId>(t) == cached) continue;
+        ++sc.fold_ins;
+        if (CannotBeat(j, t, best, log_best)) continue;
+        Candidate cand = Price(j, static_cast<TypeId>(t), sc);
+        if (cand.BeatsAsDest(best)) {
+          best = cand;
+          log_best = LogCost(best);
+        }
+      }
+      if (empty_dest && options_.enable_empty_type && cached != kEmptyType) {
+        ++sc.fold_ins;
+        Candidate cand = MakeEmptyCandidate(j);
+        if (cand.BeatsAsDest(best)) best = cand;
+      }
     }
-    return true;
   }
 
   void Apply(const Candidate& c) {
     size_t s = static_cast<size_t>(c.source);
     alive_[s] = false;
+    live_.erase(std::find(live_.begin(), live_.end(), s));
     for (TypeId& cl : cluster_of_) {
       if (cl == c.source) cl = c.dest;
     }
 
     // Phase M: mutate the affected rule bodies and re-encode them.
     // Sequential — it is O(changed · |sig|), and it is the only place new
-    // typed links (retargeted to c.dest) enter the bit universe, so bit
-    // order stays deterministic.
+    // typed links (retargeted to c.dest) get ids, so id order stays
+    // deterministic.
     const bool empty_dest = c.dest == kEmptyType;
     std::fill(changed_.begin(), changed_.end(), uint8_t{0});
     changed_list_.clear();
-    for (size_t i = 0; i < n_; ++i) {
-      if (!alive_[i]) continue;
+    for (size_t i : live_) {
       bool references_s = false;
-      for (const typing::TypedLink& l : sig_[i].links()) {
+      for (const TypedLink& l : sig_[i].links()) {
         if (l.target == c.source) {
           references_s = true;
           break;
@@ -253,7 +424,7 @@ class GreedyClusterer {
         // Typed links targeting s can no longer be witnessed by
         // classified objects; drop them from the surviving rule body.
         TypeSignature next = sig_[i];
-        for (const typing::TypedLink& l : sig_[i].links()) {
+        for (const TypedLink& l : sig_[i].links()) {
           if (l.target == c.source) next.Erase(l);
         }
         sig_[i] = std::move(next);
@@ -261,73 +432,29 @@ class GreedyClusterer {
         // Hypercube projection: every reference to s becomes one to t.
         sig_[i].RemapTarget(c.source, c.dest);
       }
-      enc_[i] = index_.Encode(sig_[i]);
+      EncodeBody(i);
       changed_[i] = 1;
       changed_list_.push_back(i);
     }
+    GrowScratch();
     if (empty_dest) {
       empty_weight_ += weight_[s];
     } else {
-      weight_[static_cast<size_t>(c.dest)] += weight_[s];
-    }
-
-    // Phase D: refresh the distance rows whose endpoints changed. Each
-    // unordered pair is owned by its lower index, so shards write
-    // disjoint matrix cells; every value reads only post-M state.
-    if (!changed_list_.empty()) {
-      ForEachShard([&](size_t begin, size_t end) {
-        for (size_t a = begin; a < end; ++a) {
-          if (!alive_[a]) continue;
-          if (changed_[a]) {
-            for (size_t b = a + 1; b < n_; ++b) {
-              if (!alive_[b]) continue;
-              SetD(a, b, BitSignatureIndex::Distance(enc_[a], enc_[b]));
-            }
-          } else {
-            auto it = std::upper_bound(changed_list_.begin(),
-                                       changed_list_.end(), a);
-            for (; it != changed_list_.end(); ++it) {
-              if (alive_[*it]) {
-                SetD(a, *it, BitSignatureIndex::Distance(enc_[a], enc_[*it]));
-              }
-            }
-          }
-        }
-      });
+      size_t t = static_cast<size_t>(c.dest);
+      weight_[t] += weight_[s];
+      log_w_[t] = std::log(std::max(weight_[t], 1.0));
+      if (!changed_[t]) {
+        changed_[t] = 1;
+        changed_list_.insert(
+            std::lower_bound(changed_list_.begin(), changed_list_.end(), t),
+            t);
+      }
     }
 
     // Phase B: restore every cached best to the true minimum over the
-    // fresh state. A cached pick is still valid unless the source itself
-    // changed, its destination died / changed body / changed weight, or
-    // (for w1-dependent psi kinds) the empty type got heavier; candidates
-    // that could only have *improved* are folded in. The minimum under
-    // (cost, dest-rank) is unique, so rescans and fold-ins agree exactly.
-    const bool empty_weight_changed =
-        empty_dest && options_.enable_empty_type && PsiDependsOnDestWeight();
-    ForEachShard([&](size_t begin, size_t end) {
-      for (size_t j = begin; j < end; ++j) {
-        if (!alive_[j]) continue;
-        const Candidate& cached = best_[j];
-        bool recompute =
-            changed_[j] || cached.dest == c.source || empty_weight_changed ||
-            (!empty_dest && (j == static_cast<size_t>(c.dest) ||
-                             cached.dest == c.dest)) ||
-            (cached.dest >= 0 && changed_[static_cast<size_t>(cached.dest)]);
-        if (recompute) {
-          RecomputeBest(j);
-          continue;
-        }
-        for (size_t cd : changed_list_) {
-          if (cd == j || !alive_[cd]) continue;
-          Candidate cand = MakeCandidate(j, cd);
-          if (cand.BeatsAsDest(best_[j])) best_[j] = cand;
-        }
-        if (!empty_dest && j != static_cast<size_t>(c.dest)) {
-          // The destination got heavier: moves into it may have cheapened.
-          Candidate cand = MakeCandidate(j, static_cast<size_t>(c.dest));
-          if (cand.BeatsAsDest(best_[j])) best_[j] = cand;
-        }
-      }
+    // fresh state.
+    ForEachShard([&](Scratch& sc, size_t begin, size_t end) {
+      RestoreShard(c, sc, begin, end);
     });
   }
 
@@ -356,24 +483,38 @@ class GreedyClusterer {
     return snap;
   }
 
+  struct LinkHash {
+    size_t operator()(const TypedLink& l) const {
+      return static_cast<size_t>(typing::HashTypedLink(l));
+    }
+  };
+
   const ClusteringOptions options_;
   const size_t n_;
   util::ThreadPool* pool_;
-  const size_t threads_;
+  const std::vector<std::pair<size_t, size_t>> shards_;
+  std::vector<Scratch> scratch_;  // one per shard
+  const bool rises_;              // CostRisesWithD(options_.psi)
   std::vector<std::string> names_;
   std::vector<TypeSignature> sig_;
-  BitSignatureIndex index_;
-  // sig_[i] on the bit kernel, kept fresh. OWNER: index_ (bit positions
-  // are only meaningful against the index that assigned them).
-  std::vector<BitSignature> enc_;
+  // Rule bodies as sorted typed-link ids: body i is
+  // ids_[off_[i], off_[i] + len_[i]).
+  std::unordered_map<TypedLink, uint32_t, LinkHash> link_id_;
+  std::vector<uint32_t> ids_;
+  std::vector<size_t> off_;
+  std::vector<size_t> len_;
+  std::vector<uint64_t> sketch_;  // body i's ids hashed into 64 buckets
   std::vector<double> weight_;
+  std::vector<double> log_w_;  // ln(max(weight_, 1)), the weights psi sees
   std::vector<uint64_t> initial_weight_;
   std::vector<bool> alive_;
-  std::vector<uint8_t> changed_;      // per-merge scratch (byte: shard-read)
-  std::vector<size_t> changed_list_;  // ascending ids of changed_ entries
+  std::vector<size_t> live_;  // ascending ids of alive_ entries
+  // Per merge: types whose body or weight changed (byte: shard-read),
+  // and their ascending ids.
+  std::vector<uint8_t> changed_;
+  std::vector<size_t> changed_list_;
   std::vector<TypeId> cluster_of_;
-  std::vector<uint32_t> d_;        // flat n*n simple-distance matrix
-  std::vector<Candidate> best_;    // per live source: its best move
+  std::vector<Candidate> best_;  // per live source: its best move
   double empty_weight_ = 0.0;
   const size_t big_l_;
 };

@@ -63,6 +63,16 @@ struct ClusteringResult {
   /// Populated when options.record_snapshots; ordered by decreasing k,
   /// includes the starting program (k = n) and the final one.
   std::vector<Snapshot> snapshots;
+
+  /// Work counters, identical at every thread count. After each merge a
+  /// source's cached best move is either rebuilt by a full scan over the
+  /// live types (`rescans`) or kept, with only the candidates whose price
+  /// may have moved priced again (`fold_ins`: re-priced cached moves plus
+  /// folded-in changed destinations). `distance_evals` counts every
+  /// d(s, t) computed, the initial scan included.
+  size_t rescans = 0;
+  size_t fold_ins = 0;
+  size_t distance_evals = 0;
 };
 
 /// Greedy agglomerative clustering of the Stage-1 types (§5): repeatedly
@@ -76,13 +86,17 @@ struct ClusteringResult {
 /// `weights[i]` is the number of objects whose home is Stage-1 type i.
 /// Fails if weights.size() != stage1.NumTypes() or target is out of range.
 ///
-/// Distances run on the bit-parallel kernel (BitSignatureIndex); the
-/// all-pairs candidate scan and the per-merge distance/best-candidate
-/// maintenance shard across `exec` workers with a deterministic
-/// sequential reduce, so the merge sequence, snapshots, and final program
-/// are bit-identical for every thread count (the default ExecOptions is
-/// the sequential reference). exec.check_cancel is polled before every
-/// merge step; its status propagates verbatim.
+/// Greedy keeps no pairwise state: rule bodies are sorted typed-link id
+/// lists and d(s, t) is computed on demand, so memory is O(n + sum of
+/// |body|). After a merge, a source's cached best move is re-priced and
+/// kept unless it got dearer, its destination died, or the source's own
+/// body or weight changed; a kept move only has the changed candidates
+/// folded in, anything else triggers a full rescan.
+/// That maintenance shards across `exec` workers with a deterministic
+/// sequential reduce, so the merge sequence, snapshots, final program and
+/// work counters are bit-identical for every thread count (the default
+/// ExecOptions is the sequential reference). exec.check_cancel is polled
+/// before every merge step; its status propagates verbatim.
 util::StatusOr<ClusteringResult> ClusterTypes(
     const typing::TypingProgram& stage1, const std::vector<uint32_t>& weights,
     const ClusteringOptions& options, const typing::ExecOptions& exec = {});

@@ -29,22 +29,26 @@ util::StatusOr<KCenterResult> KCenterCluster(
   SCHEMEX_RETURN_IF_ERROR(exec.Poll());
   k = std::min(k, n);
 
-  // Pairwise simple distances on the bit kernel, rows sharded; each
-  // unordered pair is owned by its lower row, so workers write disjoint
-  // cells of the (pre-sized) matrix.
+  // Pairwise simple distances on the bit kernel in one flat n x n matrix,
+  // rows sharded; each unordered pair is owned by its lower row, so
+  // workers write disjoint cells of the (pre-sized) matrix.
   BitSignatureIndex index(stage1);
   std::vector<BitSignature> enc(n);
   for (size_t i = 0; i < n; ++i) {
     enc[i] = index.Encode(stage1.type(static_cast<TypeId>(i)).signature);
   }
-  std::vector<std::vector<size_t>> d(n, std::vector<size_t>(n, 0));
+  std::vector<uint32_t> dist(n * n, 0);
+  auto d = [&dist, n](size_t i, size_t j) -> size_t {
+    return dist[i * n + j];
+  };
   {
     util::PoolRef pool(exec.pool, exec.num_threads);
     auto shards = util::ShardRanges(n, pool.num_threads());
     util::RunShards(pool.get(), shards.size(), [&](size_t s) {
       for (size_t i = shards[s].first; i < shards[s].second; ++i) {
         for (size_t j = i + 1; j < n; ++j) {
-          d[i][j] = d[j][i] = BitSignatureIndex::Distance(enc[i], enc[j]);
+          dist[i * n + j] = dist[j * n + i] = static_cast<uint32_t>(
+              BitSignatureIndex::Distance(enc[i], enc[j]));
         }
       }
     });
@@ -69,7 +73,7 @@ util::StatusOr<KCenterResult> KCenterCluster(
   while (centers.size() < k) {
     size_t last = centers.back();
     for (size_t i = 0; i < n; ++i) {
-      dist_to_centers[i] = std::min(dist_to_centers[i], d[i][last]);
+      dist_to_centers[i] = std::min(dist_to_centers[i], d(i, last));
     }
     size_t next = 0, best = 0;
     for (size_t i = 0; i < n; ++i) {
@@ -86,10 +90,10 @@ util::StatusOr<KCenterResult> KCenterCluster(
   std::vector<size_t> cluster_of(n, 0);
   size_t radius = 0;
   for (size_t i = 0; i < n; ++i) {
-    size_t best_c = 0, best_d = d[i][centers[0]];
+    size_t best_c = 0, best_d = d(i, centers[0]);
     for (size_t c = 1; c < centers.size(); ++c) {
-      if (d[i][centers[c]] < best_d) {
-        best_d = d[i][centers[c]];
+      if (d(i, centers[c]) < best_d) {
+        best_d = d(i, centers[c]);
         best_c = c;
       }
     }
@@ -112,7 +116,9 @@ util::StatusOr<KCenterResult> KCenterCluster(
     size_t medoid = members.front();
     for (size_t m : members) {
       uint64_t cost = 0;
-      for (size_t j : members) cost += static_cast<uint64_t>(weights[j]) * d[j][m];
+      for (size_t j : members) {
+        cost += static_cast<uint64_t>(weights[j]) * d(j, m);
+      }
       if (cost < best_cost) {
         best_cost = cost;
         medoid = m;

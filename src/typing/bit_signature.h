@@ -31,8 +31,8 @@ struct BitSignature {
 ///
 /// Two encoding modes:
 ///  * Encode() registers unseen links, growing the universe; use it for
-///    signatures that themselves define the space (Stage-2 rule bodies,
-///    which mutate as clustering coalesces targets).
+///    signatures that themselves define the space (the program's own rule
+///    bodies).
 ///  * EncodeFrozen() is const and counts unseen links in `extra`; use it
 ///    for probe signatures (Stage-3 object pictures) compared only
 ///    against universe-only signatures.
@@ -43,6 +43,13 @@ struct BitSignature {
 ///
 /// Not thread-safe for Encode; EncodeFrozen and Distance are safe to call
 /// concurrently with each other (no mutation).
+///
+/// Users: the k-center and exhaustive-search Stage-2 clusterers, which
+/// fill all-pairs matrices, and Stage 3's recast / IncrementalTyper, which
+/// probe object pictures against a fixed program. Greedy Stage 2 does not
+/// use it: its rule bodies hold a handful of links each, where a dense
+/// word sweep costs O(universe / 64) per pair, so it computes sparse
+/// distances on demand over sorted typed-link ids instead.
 class BitSignatureIndex {
  public:
   BitSignatureIndex() = default;

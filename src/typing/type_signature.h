@@ -43,10 +43,11 @@ class TypeSignature {
                                     const TypeSignature& b);
 
   /// |a Δ b| — the paper's simple Manhattan distance d(t1, t2) (§5.2).
-  /// This sorted-vector merge is the *reference* distance; the all-pairs
-  /// hot loops of Stages 2–3 use the bit-parallel kernel in
+  /// This sorted-vector merge is the *reference* distance; k-center,
+  /// exhaustive search and Stage 3 use the bit-parallel kernel in
   /// bit_signature.h (XOR + popcount over a typed-link universe), which
-  /// is property-tested to match this function exactly.
+  /// is property-tested to match this function exactly, and greedy
+  /// clustering merges sorted typed-link ids (cluster/greedy.cc).
   static size_t SymmetricDifferenceSize(const TypeSignature& a,
                                         const TypeSignature& b);
 

@@ -2,7 +2,13 @@
 // best-candidate caches) against a deliberately naive reference
 // implementation of the same §5 algorithm, written independently below.
 // Any divergence in merge sequences or final programs is a bug in the
-// optimization.
+// optimization. The grid runs every psi kind, with and without the empty
+// type, sequentially and on 4 threads, over small random programs and
+// over the DBG program clustered all the way down to one type, so each
+// way a cached move can be kept or rescanned after a merge is exercised:
+// re-priced at equal cost (d, psi2, psi4), re-priced cheaper (psi1,
+// psi5), rescanned because it got dearer (psi3), and the empty candidate
+// folded in after empty moves.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +16,9 @@
 
 #include "cluster/distance.h"
 #include "cluster/greedy.h"
+#include "gen/dbg.h"
 #include "gen/random_graph.h"
+#include "gen/spec.h"
 #include "tests/test_util.h"
 #include "typing/perfect_typing.h"
 
@@ -104,29 +112,44 @@ ReferenceResult ReferenceGreedy(const TypingProgram& stage1,
   return result;
 }
 
-class GreedyDifferential
-    : public ::testing::TestWithParam<std::tuple<uint64_t, PsiKind, bool>> {};
+/// (seed, psi, empty type, threads). Seed 0 stands for the DBG program
+/// (DBG x1, 86 Stage-1 types) clustered to k = 1; any other seed is a
+/// random graph clustered to k = 3.
+using DifferentialParam = std::tuple<uint64_t, PsiKind, bool, size_t>;
+
+class GreedyDifferential : public ::testing::TestWithParam<DifferentialParam> {
+};
 
 TEST_P(GreedyDifferential, MatchesNaiveReference) {
-  auto [seed, psi, empty] = GetParam();
-  gen::RandomGraphOptions gopt;
-  gopt.num_complex = 50;
-  gopt.num_atomic = 30;
-  gopt.num_edges = 110;
-  gopt.num_labels = 4;
-  gopt.seed = seed;
-  graph::DataGraph g = gen::RandomGraph(gopt);
-  auto stage1 = typing::PerfectTypingViaRefinement(g);
-  ASSERT_TRUE(stage1.ok());
-  if (stage1->program.NumTypes() < 5) GTEST_SKIP();
-
+  auto [seed, psi, empty, threads] = GetParam();
+  graph::DataGraph g;
   ClusteringOptions opt;
   opt.psi = psi;
   opt.enable_empty_type = empty;
-  opt.target_num_types = 3;
+  if (seed == 0) {
+    ASSERT_OK_AND_ASSIGN(g, gen::Generate(gen::DbgSpec(), 4242));
+    opt.target_num_types = 1;
+  } else {
+    gen::RandomGraphOptions gopt;
+    gopt.num_complex = 50;
+    gopt.num_atomic = 30;
+    gopt.num_edges = 110;
+    gopt.num_labels = 4;
+    gopt.seed = seed;
+    g = gen::RandomGraph(gopt);
+    opt.target_num_types = 3;
+  }
+  auto stage1 = typing::PerfectTypingViaRefinement(g);
+  ASSERT_TRUE(stage1.ok());
+  if (stage1->program.NumTypes() < 5) GTEST_SKIP();
+  if (seed == 0) {
+    ASSERT_EQ(stage1->program.NumTypes(), 86u);
+  }
 
   ReferenceResult ref = ReferenceGreedy(stage1->program, stage1->weight, opt);
-  auto fast = ClusterTypes(stage1->program, stage1->weight, opt);
+  typing::ExecOptions exec;
+  exec.num_threads = threads;
+  auto fast = ClusterTypes(stage1->program, stage1->weight, opt, exec);
   ASSERT_TRUE(fast.ok());
 
   ASSERT_EQ(fast->steps.size(), ref.steps.size());
@@ -151,16 +174,18 @@ TEST_P(GreedyDifferential, MatchesNaiveReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, GreedyDifferential,
-    ::testing::Combine(::testing::Values(7u, 17u, 27u),
+    ::testing::Combine(::testing::Values(7u, 17u, 27u, 0u),
                        ::testing::Values(PsiKind::kSimpleD, PsiKind::kPsi1,
                                          PsiKind::kPsi2, PsiKind::kPsi3,
                                          PsiKind::kPsi4, PsiKind::kPsi5),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<uint64_t, PsiKind, bool>>&
-           info) {
-      return "seed" + std::to_string(std::get<0>(info.param)) + "_" +
-             std::string(PsiKindName(std::get<1>(info.param))) +
-             (std::get<2>(info.param) ? "_empty" : "_noempty");
+                       ::testing::Bool(), ::testing::Values(1u, 4u)),
+    [](const ::testing::TestParamInfo<DifferentialParam>& info) {
+      uint64_t seed = std::get<0>(info.param);
+      size_t threads = std::get<3>(info.param);
+      return (seed == 0 ? std::string("dbg") : "seed" + std::to_string(seed)) +
+             "_" + std::string(PsiKindName(std::get<1>(info.param))) +
+             (std::get<2>(info.param) ? "_empty" : "_noempty") +
+             (threads == 1 ? "" : "_t" + std::to_string(threads));
     });
 
 }  // namespace

@@ -55,6 +55,10 @@ void ExpectIdenticalClustering(const ClusteringResult& got,
   EXPECT_EQ(got.final_map, want.final_map) << context;
   EXPECT_EQ(got.final_weights, want.final_weights) << context;
   EXPECT_DOUBLE_EQ(got.total_distance, want.total_distance) << context;
+  // The Stage-2 work counters are deterministic too.
+  EXPECT_EQ(got.rescans, want.rescans) << context;
+  EXPECT_EQ(got.fold_ins, want.fold_ins) << context;
+  EXPECT_EQ(got.distance_evals, want.distance_evals) << context;
   ASSERT_EQ(got.snapshots.size(), want.snapshots.size()) << context;
   for (size_t i = 0; i < want.snapshots.size(); ++i) {
     EXPECT_EQ(got.snapshots[i].num_types, want.snapshots[i].num_types);
@@ -83,7 +87,8 @@ TEST_P(ParallelClusterProperty, GreedyIdenticalAcrossThreadCounts) {
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
-  for (PsiKind psi : {PsiKind::kPsi2, PsiKind::kPsi1, PsiKind::kSimpleD}) {
+  for (PsiKind psi : {PsiKind::kPsi2, PsiKind::kPsi1, PsiKind::kSimpleD,
+                      PsiKind::kPsi3, PsiKind::kPsi4, PsiKind::kPsi5}) {
     for (bool empty : {true, false}) {
       ClusteringOptions copt;
       copt.psi = psi;
@@ -252,6 +257,30 @@ TEST(ParallelCluster, StragglerSeesEarlierFallbackAssignment) {
                          typing::Recast(program, g, homes, {}, exec));
     EXPECT_EQ(got.assignment, ref.assignment) << threads;
     EXPECT_EQ(got.num_fallback, ref.num_fallback) << threads;
+  }
+}
+
+TEST(ParallelCluster, DbgRescanCountIsPinned) {
+  // One fixed input pins how much work greedy's Phase B does. A source's
+  // cached best move is rescanned only when its own body or weight
+  // changed, its cached destination died, or re-pricing found it dearer;
+  // the matrix-based clusterer this replaced rescanned 672 times here
+  // (every source whose cached move went into the merge's destination).
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
+                       typing::PerfectTypingViaHashRefinement(g));
+  ClusteringOptions copt;
+  copt.psi = PsiKind::kPsi2;
+  copt.target_num_types = 6;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    typing::ExecOptions exec;
+    exec.num_threads = threads;
+    ASSERT_OK_AND_ASSIGN(
+        ClusteringResult r,
+        cluster::ClusterTypes(stage1.program, stage1.weight, copt, exec));
+    EXPECT_EQ(stage1.program.NumTypes(), 92u) << threads;
+    EXPECT_EQ(r.steps.size(), 86u) << threads;
+    EXPECT_EQ(r.rescans, 261u) << threads;
   }
 }
 
