@@ -188,7 +188,7 @@ bool Measure(const DeltaOverlay& ov, const extract::ExtractionCache& cache,
   }
   extract::ReExtractStats st;
   auto fast = extract::ReExtract(GraphView(ov), cache, touched, /*k=*/0,
-                                 /*parallelism=*/1, nullptr, inc, &st);
+                                 nullptr, inc, &st);
   if (!fast.ok()) {
     std::fprintf(stderr, "incremental extraction failed: %s\n",
                  fast.status().ToString().c_str());
@@ -215,7 +215,7 @@ bool Measure(const DeltaOverlay& ov, const extract::ExtractionCache& cache,
   m->incremental_ms = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
     util::WallTimer t;
-    auto r = extract::ReExtract(GraphView(ov), cache, touched, 0, 1, nullptr,
+    auto r = extract::ReExtract(GraphView(ov), cache, touched, 0, nullptr,
                                 inc, nullptr);
     if (!r.ok()) return false;
     m->incremental_ms = std::min(m->incremental_ms, t.ElapsedMillis());

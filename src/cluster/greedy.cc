@@ -7,7 +7,6 @@
 #include <span>
 #include <unordered_map>
 
-#include "util/parallel_for.h"
 #include "util/string_util.h"
 
 namespace schemex::cluster {
@@ -70,31 +69,20 @@ bool CostRisesWithD(PsiKind psi) {
 /// sorted list of dense typed-link ids in one flat arena, and d(s, t) is
 /// computed when a candidate is priced. Every merge step runs two phases:
 ///
-///   M (sequential): apply the hypercube projection / link drop to the
-///     affected rule bodies and re-encode them in place (bodies only
-///     shrink). This is the only place new typed links get ids, so id
-///     order is identical for every thread count.
-///   B (sharded): restore every live source's cached best move. A source
-///     is rescanned only if its own body or weight changed or its cached
+///   M: apply the hypercube projection / link drop to the affected rule
+///     bodies and re-encode them in place (bodies only shrink). This is
+///     the only place new typed links get ids.
+///   B: restore every live source's cached best move. A source is
+///     rescanned only if its own body or weight changed or its cached
 ///     destination died; otherwise its cached move is re-priced, kept if
 ///     it did not get dearer, and the changed candidates are folded in.
-///     Each worker writes only its own best_[j] slots and its own scratch.
-///
-/// All phase inputs are frozen before the shards launch and every value
-/// is a pure function of them, so the result is bit-identical at any
-/// thread count; with no pool the shards run inline in order, which *is*
-/// the sequential reference.
 class GreedyClusterer {
  public:
   GreedyClusterer(const TypingProgram& stage1,
                   const std::vector<uint32_t>& weights,
-                  const ClusteringOptions& options, util::ThreadPool* pool,
-                  size_t threads)
+                  const ClusteringOptions& options)
       : options_(options),
         n_(stage1.NumTypes()),
-        pool_(pool),
-        shards_(util::ShardRanges(n_, threads)),
-        scratch_(shards_.size()),
         rises_(CostRisesWithD(options.psi)),
         names_(n_),
         sig_(n_),
@@ -122,12 +110,10 @@ class GreedyClusterer {
       arena += sig_[i].size();
     }
     ids_.resize(arena);
-    // Sequential encode fixes the id universe in type order.
+    // Encoding in type order fixes the id universe.
     for (size_t i = 0; i < n_; ++i) EncodeBody(i);
-    GrowScratch();
-    ForEachShard([&](Scratch& sc, size_t begin, size_t end) {
-      for (size_t s = begin; s < end; ++s) RecomputeBest(s, sc);
-    });
+    mark_.resize(link_id_.size(), 0);
+    for (size_t s = 0; s < n_; ++s) RecomputeBest(s);
   }
 
   util::StatusOr<ClusteringResult> Run(const typing::ExecOptions& exec) {
@@ -151,13 +137,9 @@ class GreedyClusterer {
       }
     }
     result.total_distance = total;
-    // Each shard tallied a contiguous run of sources; summing the shards
-    // in order is the per-source sum in source order.
-    for (const Scratch& sc : scratch_) {
-      result.rescans += sc.rescans;
-      result.fold_ins += sc.fold_ins;
-      result.distance_evals += sc.distance_evals;
-    }
+    result.rescans = rescans_;
+    result.fold_ins = fold_ins_;
+    result.distance_evals = distance_evals_;
     Snapshot fin = MakeSnapshot(total);
     result.final_program = std::move(fin.program);
     result.final_map = std::move(fin.stage1_to_snapshot);
@@ -174,26 +156,6 @@ class GreedyClusterer {
   }
 
  private:
-  /// Per-shard working state: a stamp per typed-link id marking the
-  /// source body of the current rescan, and the shard's work tallies.
-  /// Cache-line aligned so workers bumping their tallies never share one.
-  struct alignas(64) Scratch {
-    std::vector<uint32_t> mark;
-    uint32_t epoch = 0;
-    size_t rescans = 0;
-    size_t fold_ins = 0;
-    size_t distance_evals = 0;
-  };
-
-  /// Runs fn(scratch, begin, end) over row shards of [0, n) — on the pool
-  /// when one was given, inline (in order) otherwise.
-  template <typename Fn>
-  void ForEachShard(Fn&& fn) {
-    util::RunShards(pool_, shards_.size(), [&](size_t s) {
-      fn(scratch_[s], shards_[s].first, shards_[s].second);
-    });
-  }
-
   std::span<const uint32_t> Body(size_t i) const {
     return {ids_.data() + off_[i], len_[i]};
   }
@@ -215,11 +177,6 @@ class GreedyClusterer {
     uint64_t sketch = 0;
     for (size_t k = 0; k < len; ++k) sketch |= uint64_t{1} << (out[k] % 64);
     sketch_[i] = sketch;
-  }
-
-  /// Sizes every shard's marker array to the current id universe.
-  void GrowScratch() {
-    for (Scratch& sc : scratch_) sc.mark.resize(link_id_.size(), 0);
   }
 
   /// d(a, b) by merging the two sorted id lists.
@@ -256,8 +213,8 @@ class GreedyClusterer {
 
   /// Prices the move of `s` into live type `t` outside a rescan, merging
   /// the two sorted id lists.
-  Candidate Price(size_t s, TypeId t, Scratch& sc) const {
-    ++sc.distance_evals;
+  Candidate Price(size_t s, TypeId t) {
+    ++distance_evals_;
     size_t dest = static_cast<size_t>(t);
     return MakeCandidate(s, dest, MergeDistance(s, dest));
   }
@@ -307,12 +264,12 @@ class GreedyClusterer {
   /// Full rescan of the best move out of source `s`: marks s's ids, then
   /// counts each candidate's ids that hit a mark, skipping the candidates
   /// CannotBeat rules out unpriced.
-  void RecomputeBest(size_t s, Scratch& sc) {
-    if (++sc.epoch == 0) {  // stamp wrapped: forget every old mark
-      std::fill(sc.mark.begin(), sc.mark.end(), 0);
-      sc.epoch = 1;
+  void RecomputeBest(size_t s) {
+    if (++epoch_ == 0) {  // stamp wrapped: forget every old mark
+      std::fill(mark_.begin(), mark_.end(), 0);
+      epoch_ = 1;
     }
-    for (uint32_t id : Body(s)) sc.mark[id] = sc.epoch;
+    for (uint32_t id : Body(s)) mark_[id] = epoch_;
     Candidate best;
     best.source = static_cast<TypeId>(s);
     if (options_.enable_empty_type) {
@@ -323,8 +280,8 @@ class GreedyClusterer {
     for (size_t t : live_) {
       if (t == s || CannotBeat(s, t, best, log_best)) continue;
       size_t common = 0;
-      for (uint32_t id : Body(t)) common += sc.mark[id] == sc.epoch;
-      ++sc.distance_evals;
+      for (uint32_t id : Body(t)) common += mark_[id] == epoch_;
+      ++distance_evals_;
       Candidate c = MakeCandidate(s, t, len_[s] + len_[t] - 2 * common);
       if (c.BeatsAsDest(best)) {
         best = c;
@@ -346,18 +303,16 @@ class GreedyClusterer {
     return best;
   }
 
-  /// Phase B over the sources [begin, end) after merge `c`: restores each
-  /// live best_[j] to the true minimum under (cost, dest-rank). Only the
+  /// Phase B after merge `c`: restores each live best_[j] to the true
+  /// minimum under (cost, dest-rank). Only the
   /// candidates in changed_list_ and, after an empty move, the empty type
   /// can have changed price. Every other candidate kept its price and
   /// already lost to the cached move, so if that move did not get dearer
   /// it still beats them, and folding in the changed candidates yields the
   /// exact minimum a rescan would find.
-  void RestoreShard(const Candidate& c, Scratch& sc, size_t begin,
-                    size_t end) {
+  void RestoreBest(const Candidate& c) {
     const bool empty_dest = c.dest == kEmptyType;
-    for (size_t j = begin; j < end; ++j) {
-      if (!alive_[j]) continue;
+    for (size_t j : live_) {
       Candidate& best = best_[j];
       const TypeId cached = best.dest;
       // Rescan if j's own body or weight changed or its destination died;
@@ -366,30 +321,30 @@ class GreedyClusterer {
       bool rescan = changed_[j] || cached == c.source;
       if (!rescan && (cached >= 0 ? changed_[static_cast<size_t>(cached)]
                                   : cached == kEmptyType && empty_dest)) {
-        ++sc.fold_ins;
+        ++fold_ins_;
         Candidate now = cached == kEmptyType ? MakeEmptyCandidate(j)
-                                             : Price(j, cached, sc);
+                                             : Price(j, cached);
         rescan = now.cost > best.cost;
         if (!rescan) best = now;
       }
       if (rescan) {
-        ++sc.rescans;
-        RecomputeBest(j, sc);
+        ++rescans_;
+        RecomputeBest(j);
         continue;
       }
       double log_best = LogCost(best);
       for (size_t t : changed_list_) {
         if (t == j || static_cast<TypeId>(t) == cached) continue;
-        ++sc.fold_ins;
+        ++fold_ins_;
         if (CannotBeat(j, t, best, log_best)) continue;
-        Candidate cand = Price(j, static_cast<TypeId>(t), sc);
+        Candidate cand = Price(j, static_cast<TypeId>(t));
         if (cand.BeatsAsDest(best)) {
           best = cand;
           log_best = LogCost(best);
         }
       }
       if (empty_dest && options_.enable_empty_type && cached != kEmptyType) {
-        ++sc.fold_ins;
+        ++fold_ins_;
         Candidate cand = MakeEmptyCandidate(j);
         if (cand.BeatsAsDest(best)) best = cand;
       }
@@ -404,10 +359,8 @@ class GreedyClusterer {
       if (cl == c.source) cl = c.dest;
     }
 
-    // Phase M: mutate the affected rule bodies and re-encode them.
-    // Sequential — it is O(changed · |sig|), and it is the only place new
-    // typed links (retargeted to c.dest) get ids, so id order stays
-    // deterministic.
+    // Phase M: mutate the affected rule bodies and re-encode them. It is
+    // the only place new typed links (retargeted to c.dest) get ids.
     const bool empty_dest = c.dest == kEmptyType;
     std::fill(changed_.begin(), changed_.end(), uint8_t{0});
     changed_list_.clear();
@@ -436,7 +389,7 @@ class GreedyClusterer {
       changed_[i] = 1;
       changed_list_.push_back(i);
     }
-    GrowScratch();
+    mark_.resize(link_id_.size(), 0);
     if (empty_dest) {
       empty_weight_ += weight_[s];
     } else {
@@ -453,9 +406,7 @@ class GreedyClusterer {
 
     // Phase B: restore every cached best to the true minimum over the
     // fresh state.
-    ForEachShard([&](Scratch& sc, size_t begin, size_t end) {
-      RestoreShard(c, sc, begin, end);
-    });
+    RestoreBest(c);
   }
 
   Snapshot MakeSnapshot(double total) const {
@@ -491,9 +442,6 @@ class GreedyClusterer {
 
   const ClusteringOptions options_;
   const size_t n_;
-  util::ThreadPool* pool_;
-  const std::vector<std::pair<size_t, size_t>> shards_;
-  std::vector<Scratch> scratch_;  // one per shard
   const bool rises_;              // CostRisesWithD(options_.psi)
   std::vector<std::string> names_;
   std::vector<TypeSignature> sig_;
@@ -509,14 +457,21 @@ class GreedyClusterer {
   std::vector<uint64_t> initial_weight_;
   std::vector<bool> alive_;
   std::vector<size_t> live_;  // ascending ids of alive_ entries
-  // Per merge: types whose body or weight changed (byte: shard-read),
-  // and their ascending ids.
+  // Per merge: types whose body or weight changed, and their ascending
+  // ids.
   std::vector<uint8_t> changed_;
   std::vector<size_t> changed_list_;
   std::vector<TypeId> cluster_of_;
   std::vector<Candidate> best_;  // per live source: its best move
   double empty_weight_ = 0.0;
   const size_t big_l_;
+  // A stamp per typed-link id marking the source body of the current
+  // rescan.
+  std::vector<uint32_t> mark_;
+  uint32_t epoch_ = 0;
+  size_t rescans_ = 0;
+  size_t fold_ins_ = 0;
+  size_t distance_evals_ = 0;
 };
 
 }  // namespace
@@ -533,9 +488,7 @@ util::StatusOr<ClusteringResult> ClusterTypes(
     return util::Status::InvalidArgument("target_num_types must be >= 1");
   }
   SCHEMEX_RETURN_IF_ERROR(stage1.Validate());
-  util::PoolRef pool(exec.pool, exec.num_threads);
-  GreedyClusterer clusterer(stage1, weights, options, pool.get(),
-                            pool.num_threads());
+  GreedyClusterer clusterer(stage1, weights, options);
   return clusterer.Run(exec);
 }
 

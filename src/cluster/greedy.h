@@ -64,7 +64,7 @@ struct ClusteringResult {
   /// includes the starting program (k = n) and the final one.
   std::vector<Snapshot> snapshots;
 
-  /// Work counters, identical at every thread count. After each merge a
+  /// Deterministic work counters. After each merge a
   /// source's cached best move is either rebuilt by a full scan over the
   /// live types (`rescans`) or kept, with only the candidates whose price
   /// may have moved priced again (`fold_ins`: re-priced cached moves plus
@@ -91,12 +91,8 @@ struct ClusteringResult {
 /// |body|). After a merge, a source's cached best move is re-priced and
 /// kept unless it got dearer, its destination died, or the source's own
 /// body or weight changed; a kept move only has the changed candidates
-/// folded in, anything else triggers a full rescan.
-/// That maintenance shards across `exec` workers with a deterministic
-/// sequential reduce, so the merge sequence, snapshots, final program and
-/// work counters are bit-identical for every thread count (the default
-/// ExecOptions is the sequential reference). exec.check_cancel is polled
-/// before every merge step; its status propagates verbatim.
+/// folded in, anything else triggers a full rescan. exec.check_cancel is
+/// polled before every merge step; its status propagates verbatim.
 util::StatusOr<ClusteringResult> ClusterTypes(
     const typing::TypingProgram& stage1, const std::vector<uint32_t>& weights,
     const ClusteringOptions& options, const typing::ExecOptions& exec = {});

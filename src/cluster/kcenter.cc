@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "cluster/distance.h"
-#include "util/parallel_for.h"
 #include "util/string_util.h"
 
 namespace schemex::cluster {
@@ -29,9 +28,7 @@ util::StatusOr<KCenterResult> KCenterCluster(
   SCHEMEX_RETURN_IF_ERROR(exec.Poll());
   k = std::min(k, n);
 
-  // Pairwise simple distances on the bit kernel in one flat n x n matrix,
-  // rows sharded; each unordered pair is owned by its lower row, so
-  // workers write disjoint cells of the (pre-sized) matrix.
+  // Pairwise simple distances on the bit kernel in one flat n x n matrix.
   BitSignatureIndex index(stage1);
   std::vector<BitSignature> enc(n);
   for (size_t i = 0; i < n; ++i) {
@@ -41,17 +38,11 @@ util::StatusOr<KCenterResult> KCenterCluster(
   auto d = [&dist, n](size_t i, size_t j) -> size_t {
     return dist[i * n + j];
   };
-  {
-    util::PoolRef pool(exec.pool, exec.num_threads);
-    auto shards = util::ShardRanges(n, pool.num_threads());
-    util::RunShards(pool.get(), shards.size(), [&](size_t s) {
-      for (size_t i = shards[s].first; i < shards[s].second; ++i) {
-        for (size_t j = i + 1; j < n; ++j) {
-          dist[i * n + j] = dist[j * n + i] = static_cast<uint32_t>(
-              BitSignatureIndex::Distance(enc[i], enc[j]));
-        }
-      }
-    });
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      dist[i * n + j] = dist[j * n + i] =
+          static_cast<uint32_t>(BitSignatureIndex::Distance(enc[i], enc[j]));
+    }
   }
   SCHEMEX_RETURN_IF_ERROR(exec.Poll());
 

@@ -36,9 +36,7 @@ struct KCenterResult {
 /// Clusters the Stage-1 types to (at most) `k` clusters. Fails on size
 /// mismatch or k == 0. If k >= NumTypes the result is the identity.
 ///
-/// The pairwise distance matrix runs on the bit-parallel kernel, sharded
-/// across `exec` workers; traversal, assignment, and medoid selection are
-/// sequential, so the result is bit-identical for every thread count.
+/// The pairwise distance matrix runs on the bit-parallel kernel.
 /// exec.check_cancel is polled between phases.
 util::StatusOr<KCenterResult> KCenterCluster(
     const typing::TypingProgram& stage1, const std::vector<uint32_t>& weights,

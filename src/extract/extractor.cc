@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "extract/pipeline_internal.h"
-#include "util/parallel_for.h"
 #include "util/timer.h"
 
 namespace schemex::extract {
@@ -22,20 +21,18 @@ size_t ResolveParallelism(size_t requested, size_t num_complex) {
   return std::min(hw, by_size);
 }
 
-util::StatusOr<typing::PerfectTypingResult> RunStage1(
-    const ExtractorOptions& options, graph::GraphView g,
-    util::ThreadPool* pool, size_t threads) {
+typing::ExecOptions MakeExec(const ExtractorOptions& options) {
   typing::ExecOptions exec;
-  exec.num_threads = threads;
-  exec.pool = pool;
   exec.check_cancel = options.check_cancel;
+  return exec;
+}
+
+util::StatusOr<typing::PerfectTypingResult> RunStage1(
+    const ExtractorOptions& options, graph::GraphView g) {
   if (options.stage1 == ExtractorOptions::Stage1Algorithm::kGfp) {
-    return typing::PerfectTypingViaGfp(g, exec);
+    return typing::PerfectTypingViaGfp(g, MakeExec(options));
   }
-  if (options.parallelism == 1) {
-    return typing::PerfectTypingViaRefinement(g);
-  }
-  return typing::PerfectTypingViaHashRefinement(g, exec);
+  return typing::PerfectTypingViaHashRefinement(g, MakeExec(options));
 }
 
 PreClusterState PrepareForClustering(const ExtractorOptions& options,
@@ -85,8 +82,9 @@ util::Status PollCancel(const std::function<util::Status()>& check_cancel) {
 
 util::StatusOr<ExtractionResult> FinishExtraction(
     const ExtractorOptions& options, graph::GraphView g,
-    typing::PerfectTypingResult perfect, const typing::ExecOptions& exec,
-    const Stage2Reuse* reuse, bool* stage2_reused) {
+    typing::PerfectTypingResult perfect, const Stage2Reuse* reuse,
+    bool* stage2_reused) {
+  const typing::ExecOptions exec = MakeExec(options);
   ExtractionResult result;
   result.perfect = std::move(perfect);
   result.num_perfect_types = result.perfect.program.NumTypes();
@@ -148,30 +146,16 @@ util::StatusOr<ExtractionResult> SchemaExtractor::Run(
     graph::GraphView g) const {
   util::WallTimer total_timer;
 
-  // One pool for the whole run — Stage 1 shards its hashing and GFP
-  // phases on it, Stage 2 its distance/best maintenance, Stage 3 its
-  // GFP, exact sweep, and fallback precompute; nullptr when the resolved
-  // parallelism is 1.
-  size_t threads =
-      internal::ResolveParallelism(options_.parallelism, g.NumComplexObjects());
-  util::PoolRef pool(nullptr, threads);
-  typing::ExecOptions exec;
-  exec.num_threads = threads;
-  exec.pool = pool.get();
-  exec.check_cancel = options_.check_cancel;
-
   // Stage 1.
   util::WallTimer stage_timer;
   typing::PerfectTypingResult perfect;
-  SCHEMEX_ASSIGN_OR_RETURN(perfect,
-                           internal::RunStage1(options_, g, pool.get(),
-                                               threads));
+  SCHEMEX_ASSIGN_OR_RETURN(perfect, internal::RunStage1(options_, g));
   double stage1_ms = stage_timer.ElapsedMillis();
   SCHEMEX_RETURN_IF_ERROR(internal::PollCancel(options_.check_cancel));
 
   SCHEMEX_ASSIGN_OR_RETURN(
       ExtractionResult result,
-      internal::FinishExtraction(options_, g, std::move(perfect), exec));
+      internal::FinishExtraction(options_, g, std::move(perfect)));
   result.timings.stage1_ms = stage1_ms;
   result.timings.total_ms = total_timer.ElapsedMillis();
   return result;
@@ -186,16 +170,9 @@ util::StatusOr<std::vector<SensitivityPoint>> SensitivitySweep(
   using typing::TypeId;
 
   // Stage 1 once.
-  size_t threads =
-      internal::ResolveParallelism(options.parallelism, g.NumComplexObjects());
-  util::PoolRef pool(nullptr, threads);
-  typing::ExecOptions exec;
-  exec.num_threads = threads;
-  exec.pool = pool.get();
-  exec.check_cancel = options.check_cancel;
+  const typing::ExecOptions exec = internal::MakeExec(options);
   typing::PerfectTypingResult perfect;
-  SCHEMEX_ASSIGN_OR_RETURN(
-      perfect, internal::RunStage1(options, g, pool.get(), threads));
+  SCHEMEX_ASSIGN_OR_RETURN(perfect, internal::RunStage1(options, g));
   SCHEMEX_RETURN_IF_ERROR(PollCancel(options.check_cancel));
   typing::RoleDecomposition roles;
   bool roles_applied = false;

@@ -4,7 +4,6 @@
 
 #include "extract/pipeline_internal.h"
 #include "typing/incremental_refine.h"
-#include "util/parallel_for.h"
 #include "util/timer.h"
 
 namespace schemex::extract {
@@ -32,7 +31,7 @@ ExtractionCache MakeExtractionCache(const ExtractionResult& result,
 
 util::StatusOr<ExtractionResult> ReExtract(
     graph::GraphView g, const ExtractionCache& cache,
-    std::span<const graph::ObjectId> touched, size_t k, size_t parallelism,
+    std::span<const graph::ObjectId> touched, size_t k,
     const std::function<util::Status()>& check_cancel,
     const IncrementalOptions& inc, ReExtractStats* stats) {
   ReExtractStats local_stats;
@@ -41,8 +40,8 @@ util::StatusOr<ExtractionResult> ReExtract(
 
   util::WallTimer total_timer;
 
-  // Replay the cached run's configuration; only k and the run-time knobs
-  // (parallelism, cancellation) are caller-controlled.
+  // Replay the cached run's configuration; only k and cancellation are
+  // caller-controlled.
   ExtractorOptions options;
   options.stage1 = cache.options.stage1;
   options.decompose_roles = cache.options.decompose_roles;
@@ -50,16 +49,7 @@ util::StatusOr<ExtractionResult> ReExtract(
   options.enable_empty_type = cache.options.enable_empty_type;
   options.recast = cache.options.recast;
   options.target_num_types = k == 0 ? cache.chosen_k : k;
-  options.parallelism = parallelism;
   options.check_cancel = check_cancel;
-
-  size_t threads =
-      internal::ResolveParallelism(parallelism, g.NumComplexObjects());
-  util::PoolRef pool(nullptr, threads);
-  typing::ExecOptions exec;
-  exec.num_threads = threads;
-  exec.pool = pool.get();
-  exec.check_cancel = check_cancel;
 
   // Stage 1: incremental re-refinement from the cached partition. Only
   // refinement-produced caches qualify — the GFP algorithm's partition
@@ -70,7 +60,7 @@ util::StatusOr<ExtractionResult> ReExtract(
     typing::IncrementalRefineOptions ro;
     ro.max_dirty_fraction = inc.max_dirty_fraction;
     ro.max_rounds = inc.max_rounds;
-    ro.exec = exec;
+    ro.exec = internal::MakeExec(options);
     typing::IncrementalRefineStats rstats;
     SCHEMEX_ASSIGN_OR_RETURN(
         perfect,
@@ -81,8 +71,7 @@ util::StatusOr<ExtractionResult> ReExtract(
     st.dirty_peak = rstats.peak_dirty;
     st.rounds = rstats.rounds;
   } else {
-    SCHEMEX_ASSIGN_OR_RETURN(
-        perfect, internal::RunStage1(options, g, pool.get(), threads));
+    SCHEMEX_ASSIGN_OR_RETURN(perfect, internal::RunStage1(options, g));
     st.stage1_fallback_reason =
         "cache produced by stage1=gfp; incremental Stage 1 requires "
         "refinement";
@@ -104,8 +93,8 @@ util::StatusOr<ExtractionResult> ReExtract(
   }
   SCHEMEX_ASSIGN_OR_RETURN(
       ExtractionResult result,
-      internal::FinishExtraction(options, g, std::move(perfect), exec,
-                                 reuse_ptr, &st.stage2_reused));
+      internal::FinishExtraction(options, g, std::move(perfect), reuse_ptr,
+                                 &st.stage2_reused));
   result.timings.stage1_ms = stage1_ms;
   result.timings.total_ms = total_timer.ElapsedMillis();
   return result;

@@ -81,14 +81,14 @@ struct ReExtractStats {
 /// the mutated graph `g`, with Stage 1 seeded from the cached partition
 /// (dirty set = `touched`, typically DeltaOverlay::TouchedComplexObjects())
 /// and Stage 2 skipped when its inputs are unchanged. `k` = 0 reuses the
-/// cached k; `parallelism`/`check_cancel` override the run-time knobs.
+/// cached k; `check_cancel` overrides the cancellation hook.
 /// The result is bit-identical to SchemaExtractor::Run over `g` with the
-/// cache's options (same k) at any thread count — Stages 2/3 share the
+/// cache's options (same k) — Stages 2/3 share the
 /// cold code path outright, and incremental Stage 1 is pinned against
 /// the cold refinement by construction and by determinism tests.
 util::StatusOr<ExtractionResult> ReExtract(
     graph::GraphView g, const ExtractionCache& cache,
-    std::span<const graph::ObjectId> touched, size_t k, size_t parallelism,
+    std::span<const graph::ObjectId> touched, size_t k,
     const std::function<util::Status()>& check_cancel,
     const IncrementalOptions& inc = {}, ReExtractStats* stats = nullptr);
 

@@ -15,16 +15,16 @@
 /// identical by typing/incremental_refine.h).
 namespace schemex::extract::internal {
 
-/// Effective worker count. 0 (auto) takes the hardware concurrency,
-/// moderated so each worker gets a few thousand complex objects.
+/// Unread by the library; perfbench/replay.cc still compiles against it.
 size_t ResolveParallelism(size_t requested, size_t num_complex);
 
-/// Stage 1 with the options' algorithm, parallelism, and cancellation.
-/// parallelism == 1 routes refinement to the sequential reference
-/// implementation; every other setting uses the hash-refinement engine.
+/// Stage 1 with the options' algorithm and cancellation; refinement runs
+/// on the hash-refinement engine.
 util::StatusOr<typing::PerfectTypingResult> RunStage1(
-    const ExtractorOptions& options, graph::GraphView g,
-    util::ThreadPool* pool, size_t threads);
+    const ExtractorOptions& options, graph::GraphView g);
+
+/// The stages' execution options for `options`: its cancellation hook.
+typing::ExecOptions MakeExec(const ExtractorOptions& options);
 
 /// Stage-1 (or roles) home sets + weights for clustering.
 struct PreClusterState {
@@ -68,8 +68,8 @@ struct Stage2Reuse {
 /// `stage2_reused` (optional) reports whether `reuse` was adopted.
 util::StatusOr<ExtractionResult> FinishExtraction(
     const ExtractorOptions& options, graph::GraphView g,
-    typing::PerfectTypingResult perfect, const typing::ExecOptions& exec,
-    const Stage2Reuse* reuse = nullptr, bool* stage2_reused = nullptr);
+    typing::PerfectTypingResult perfect, const Stage2Reuse* reuse = nullptr,
+    bool* stage2_reused = nullptr);
 
 }  // namespace schemex::extract::internal
 

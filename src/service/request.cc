@@ -220,8 +220,6 @@ util::StatusOr<Request> ParseRequest(const json::Value& v) {
             "stage1 must be \"refinement\" or \"gfp\"");
       }
       SCHEMEX_RETURN_IF_ERROR(
-          params.GetUint("parallelism", &req.extract.parallelism));
-      SCHEMEX_RETURN_IF_ERROR(
           params.GetString("save_dir", &req.extract.save_dir));
       break;
     case Verb::kType:
@@ -252,8 +250,6 @@ util::StatusOr<Request> ParseRequest(const json::Value& v) {
       SCHEMEX_RETURN_IF_ERROR(params.GetString(
           "workspace", &req.re_extract.workspace, /*required=*/true));
       SCHEMEX_RETURN_IF_ERROR(params.GetUint("k", &req.re_extract.k));
-      SCHEMEX_RETURN_IF_ERROR(
-          params.GetUint("parallelism", &req.re_extract.parallelism));
       SCHEMEX_RETURN_IF_ERROR(
           params.GetString("save_dir", &req.re_extract.save_dir));
       SCHEMEX_RETURN_IF_ERROR(params.GetDouble(

@@ -49,12 +49,6 @@ struct ExtractParams {
   bool decompose_roles = false;
   /// Stage-1 algorithm: "refinement" (default) or "gfp".
   std::string stage1 = "refinement";
-  /// Worker parallelism for every extraction stage (Stage-1 refinement
-  /// and GFP, Stage-2 clustering, Stage-3 recast): 0 = defer to the
-  /// server's default (which itself defaults to auto = hardware
-  /// concurrency), 1 = the sequential reference path, N > 1 = exactly N
-  /// workers. Identical results for every setting.
-  uint64_t parallelism = 0;
   /// When non-empty, also persist the updated workspace here (atomic
   /// SaveWorkspace), so a restarted server can load_workspace it back.
   std::string save_dir;
@@ -121,7 +115,6 @@ struct ReExtractParams {
   std::string workspace;
   /// Target number of types; 0 = reuse the cached run's k.
   uint64_t k = 0;
-  uint64_t parallelism = 0;
   std::string save_dir;
   /// Dirty-set fallback threshold for incremental Stage 1 (fraction of
   /// complex objects; exceeding it falls back to a cold refinement).

@@ -22,12 +22,6 @@ struct ServerOptions {
   /// Wall-clock budget applied when a request does not set timeout_s.
   /// 0 disables the default (requests may still set their own).
   double default_timeout_s = 60.0;
-  /// Parallelism for all three extraction stages, applied when an extract
-  /// request leaves its "parallelism" field at 0: 0 = auto (hardware
-  /// concurrency, moderated by graph size), 1 = sequential reference
-  /// path, N = exactly N workers. Extract results are identical for
-  /// every setting.
-  size_t default_parallelism = 0;
 };
 
 /// The schemexd dispatcher: a long-lived, concurrent schema service.

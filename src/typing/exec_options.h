@@ -9,20 +9,14 @@
 
 namespace schemex::typing {
 
-/// Execution knobs shared by the Stage-1 algorithms and the GFP engine.
-/// The defaults run everything inline on the caller with no cancellation —
-/// exactly the pre-parallel behaviour. Every algorithm taking ExecOptions
-/// guarantees a result bit-identical to its sequential run for any thread
-/// count (sharded phases only compute per-object values; block/type ids
-/// are always assigned by a deterministic sequential reduce).
+/// Execution knobs shared by the Stage-1 algorithms, the GFP engine and
+/// Stages 2-3. Every stage runs inline on the caller; the defaults never
+/// cancel.
 struct ExecOptions {
-  /// Worker count for sharded phases; <= 1 runs inline. When `pool` is
-  /// set, the pool's size wins and this field is ignored.
+  /// Unread by the library; perfbench/replay.cc still compiles against it.
   size_t num_threads = 1;
 
-  /// Optional externally owned pool, sized to the desired parallelism.
-  /// When null and num_threads > 1, the algorithm spins up a transient
-  /// pool for the duration of one call.
+  /// Unread by the library; perfbench/replay.cc still compiles against it.
   util::ThreadPool* pool = nullptr;
 
   /// Cooperative cancellation: polled between refinement rounds, between

@@ -6,8 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/parallel_for.h"
-
 namespace schemex::typing {
 
 namespace {
@@ -109,115 +107,89 @@ util::StatusOr<Extents> ComputeGfp(const TypingProgram& program,
   const size_t n = g.NumObjects();
   const size_t num_types = program.NumTypes();
 
-  util::PoolRef pool(options.pool, options.num_threads);
-
   Extents m;
   m.per_type.assign(num_types, util::DenseBitset(n));
 
   // --- Step 1: label/direction prefilter. -------------------------------
   // For each complex object, collect its out- and in-label sets once, then
-  // test every type's label requirements against them. Sharded over
-  // word-aligned object ranges: workers set bits of disjoint 64-bit words
-  // in every extent, so the phase is race-free and the resulting bitsets
-  // are identical for any thread count.
+  // test every type's label requirements against them.
   GfpStats local_stats;
   {
-    auto shards = util::ShardRanges(n, pool.num_threads(), /*align=*/64);
-    std::vector<size_t> shard_candidates(shards.size(), 0);
-    util::RunShards(pool.get(), shards.size(), [&](size_t s) {
-      std::vector<graph::LabelId> out_labels, in_labels, out_atomic_labels;
-      size_t candidates = 0;
-      for (graph::ObjectId o = static_cast<graph::ObjectId>(shards[s].first);
-           o < shards[s].second; ++o) {
-        if (!g.IsComplex(o)) continue;
-        out_labels.clear();
-        in_labels.clear();
-        // Track which labels also reach an atomic object (for ->l^0).
-        out_atomic_labels.clear();
-        for (const graph::HalfEdge& e : g.OutEdges(o)) {
-          out_labels.push_back(e.label);
-          if (g.IsAtomic(e.other)) out_atomic_labels.push_back(e.label);
-        }
-        for (const graph::HalfEdge& e : g.InEdges(o)) {
-          in_labels.push_back(e.label);
-        }
-        auto uniq = [](std::vector<graph::LabelId>& v) {
-          std::sort(v.begin(), v.end());
-          v.erase(std::unique(v.begin(), v.end()), v.end());
-        };
-        uniq(out_labels);
-        uniq(in_labels);
-        uniq(out_atomic_labels);
-        auto has = [](const std::vector<graph::LabelId>& v,
-                      graph::LabelId l) {
-          return std::binary_search(v.begin(), v.end(), l);
-        };
-        for (size_t t = 0; t < num_types; ++t) {
-          bool candidate = true;
-          for (const TypedLink& l :
-               program.type(static_cast<TypeId>(t)).signature.links()) {
-            bool present =
-                l.dir == Direction::kOutgoing
-                    ? (l.target == kAtomicType ? has(out_atomic_labels, l.label)
-                                               : has(out_labels, l.label))
-                    : has(in_labels, l.label);
-            if (!present) {
-              candidate = false;
-              break;
-            }
+    std::vector<graph::LabelId> out_labels, in_labels, out_atomic_labels;
+    auto uniq = [](std::vector<graph::LabelId>& v) {
+      std::sort(v.begin(), v.end());
+      v.erase(std::unique(v.begin(), v.end()), v.end());
+    };
+    auto has = [](const std::vector<graph::LabelId>& v, graph::LabelId l) {
+      return std::binary_search(v.begin(), v.end(), l);
+    };
+    for (graph::ObjectId o = 0; o < n; ++o) {
+      if (!g.IsComplex(o)) continue;
+      out_labels.clear();
+      in_labels.clear();
+      // Track which labels also reach an atomic object (for ->l^0).
+      out_atomic_labels.clear();
+      for (const graph::HalfEdge& e : g.OutEdges(o)) {
+        out_labels.push_back(e.label);
+        if (g.IsAtomic(e.other)) out_atomic_labels.push_back(e.label);
+      }
+      for (const graph::HalfEdge& e : g.InEdges(o)) {
+        in_labels.push_back(e.label);
+      }
+      uniq(out_labels);
+      uniq(in_labels);
+      uniq(out_atomic_labels);
+      for (size_t t = 0; t < num_types; ++t) {
+        bool candidate = true;
+        for (const TypedLink& l :
+             program.type(static_cast<TypeId>(t)).signature.links()) {
+          bool present =
+              l.dir == Direction::kOutgoing
+                  ? (l.target == kAtomicType ? has(out_atomic_labels, l.label)
+                                             : has(out_labels, l.label))
+                  : has(in_labels, l.label);
+          if (!present) {
+            candidate = false;
+            break;
           }
-          if (candidate) {
-            m.per_type[t].Set(o);
-            ++candidates;
-          }
+        }
+        if (candidate) {
+          m.per_type[t].Set(o);
+          ++local_stats.initial_candidates;
         }
       }
-      shard_candidates[s] = candidates;
-    });
-    for (size_t c : shard_candidates) local_stats.initial_candidates += c;
+    }
   }
   SCHEMEX_RETURN_IF_ERROR(options.Poll());
 
   // --- Step 2: worklist refinement. --------------------------------------
   DependencyIndex dependents = DependencyIndex::Build(program);
 
-  // Initial full check of every candidate pair, sharded over type ranges.
-  // Workers only read the prefiltered extents and record failures locally;
-  // the removals are applied (and the worklist seeded) sequentially in
-  // (type, object) order afterwards. A pair that passes here but loses its
-  // justification once the removals land is caught by worklist
-  // propagation, so the fixpoint — which is unique — is unchanged.
+  // Initial full check of every candidate pair against the prefiltered
+  // extents. Failures are recorded first and applied (seeding the
+  // worklist) afterwards in (type, object) order. A pair that passes here
+  // but loses its justification once the removals land is caught by
+  // worklist propagation, so the fixpoint — which is unique — is
+  // unchanged.
   std::deque<std::pair<graph::ObjectId, TypeId>> work;
   {
-    auto shards = util::ShardRanges(num_types, pool.num_threads());
-    std::vector<std::vector<std::pair<graph::ObjectId, TypeId>>> failed(
-        shards.size());
-    std::vector<size_t> shard_rechecks(shards.size(), 0);
-    util::RunShards(pool.get(), shards.size(), [&](size_t s) {
-      size_t rechecks = 0;
-      for (size_t t = shards[s].first; t < shards[s].second; ++t) {
-        const TypeSignature& sig =
-            program.type(static_cast<TypeId>(t)).signature;
-        m.per_type[t].ForEach([&](size_t o) {
-          ++rechecks;
-          if (!SatisfiesSignature(sig, g, m,
-                                  static_cast<graph::ObjectId>(o))) {
-            failed[s].emplace_back(static_cast<graph::ObjectId>(o),
-                                   static_cast<TypeId>(t));
-          }
-        });
-      }
-      shard_rechecks[s] = rechecks;
-    });
-    for (size_t s = 0; s < shards.size(); ++s) {
-      local_stats.rechecks += shard_rechecks[s];
-      // Removing members only makes signatures harder to satisfy, so every
-      // recorded failure still fails after earlier removals: clear directly.
-      for (auto [o, t] : failed[s]) {
-        m.per_type[static_cast<size_t>(t)].Clear(o);
-        ++local_stats.removed;
-        work.emplace_back(o, t);
-      }
+    std::vector<std::pair<graph::ObjectId, TypeId>> failed;
+    for (size_t t = 0; t < num_types; ++t) {
+      const TypeSignature& sig = program.type(static_cast<TypeId>(t)).signature;
+      m.per_type[t].ForEach([&](size_t o) {
+        ++local_stats.rechecks;
+        if (!SatisfiesSignature(sig, g, m, static_cast<graph::ObjectId>(o))) {
+          failed.emplace_back(static_cast<graph::ObjectId>(o),
+                              static_cast<TypeId>(t));
+        }
+      });
+    }
+    // Removing members only makes signatures harder to satisfy, so every
+    // recorded failure still fails after earlier removals: clear directly.
+    for (auto [o, t] : failed) {
+      m.per_type[static_cast<size_t>(t)].Clear(o);
+      ++local_stats.removed;
+      work.emplace_back(o, t);
     }
   }
   SCHEMEX_RETURN_IF_ERROR(options.Poll());

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "typing/refine_internal.h"
-#include "util/parallel_for.h"
 #include "util/string_util.h"
 
 namespace schemex::typing {
@@ -37,15 +36,6 @@ TypeSignature LocalPicture(graph::GraphView g, graph::ObjectId o,
 /// Shared with the incremental re-refiner — see refine_internal.h.
 using internal::EncodeRefineLink;
 using internal::Mix64;
-
-/// Per-worker state for one shard of complex objects, reused across
-/// rounds so steady-state rounds allocate nothing.
-struct RefinementShard {
-  size_t begin = 0;  ///< range [begin, end) of complex-object indices
-  size_t end = 0;
-  std::vector<uint64_t> arena;   ///< canonical encodings, back to back
-  std::vector<uint64_t> scratch; ///< one object's links, sorted + deduped
-};
 
 }  // namespace
 
@@ -217,26 +207,14 @@ util::StatusOr<PerfectTypingResult> PerfectTypingViaHashRefinement(
   const size_t num_complex = complex_objects.size();
   size_t num_blocks = num_complex == 0 ? 0 : 1;
 
-  util::PoolRef pool(options.pool, options.num_threads);
-  auto ranges = util::ShardRanges(num_complex, pool.num_threads());
-  std::vector<RefinementShard> shards(ranges.size());
-  for (size_t s = 0; s < ranges.size(); ++s) {
-    shards[s].begin = ranges[s].first;
-    shards[s].end = ranges[s].second;
-  }
-
   // Per complex-object index: this round's signature hash and the span of
-  // its canonical encoding inside its shard's arena. `shard_of` maps an
-  // index back to its shard so the reduce can locate any object's span.
+  // its canonical encoding inside `arena`. The buffers are reused across
+  // rounds, so steady-state rounds allocate nothing.
   std::vector<uint64_t> hash(num_complex);
   std::vector<size_t> span_off(num_complex);
   std::vector<uint32_t> span_len(num_complex);
-  std::vector<uint32_t> shard_of(num_complex);
-  for (size_t s = 0; s < shards.size(); ++s) {
-    for (size_t i = shards[s].begin; i < shards[s].end; ++i) {
-      shard_of[i] = static_cast<uint32_t>(s);
-    }
-  }
+  std::vector<uint64_t> arena;    ///< canonical encodings, back to back
+  std::vector<uint64_t> scratch;  ///< one object's links, sorted + deduped
 
   std::vector<TypeId> next_block(n, kInvalidType);
   /// Blocks discovered this round, bucketed by hash. Each entry remembers
@@ -250,59 +228,53 @@ util::StatusOr<PerfectTypingResult> PerfectTypingViaHashRefinement(
 
   // Iterate: split blocks by (previous block, local picture over previous
   // blocks), same monotone progress measure as the reference path. Each
-  // round: a sharded hashing phase (read-only over the graph and `block`,
-  // writing disjoint slices of the per-index arrays), then a sequential
-  // reduce assigning block ids by first occurrence in object order —
-  // exactly the numbering std::map::try_emplace produced in the reference
-  // implementation, and independent of the thread count.
+  // round hashes every object's canonical picture, then assigns block ids
+  // by first occurrence in object order — exactly the numbering
+  // std::map::try_emplace produces in the reference implementation.
   for (;;) {
     SCHEMEX_RETURN_IF_ERROR(options.Poll());
     if (num_complex == 0) break;
 
-    util::RunShards(pool.get(), shards.size(), [&](size_t s) {
-      RefinementShard& shard = shards[s];
-      shard.arena.clear();
-      for (size_t i = shard.begin; i < shard.end; ++i) {
-        graph::ObjectId o = complex_objects[i];
-        std::vector<uint64_t>& scratch = shard.scratch;
-        scratch.clear();
-        for (const graph::HalfEdge& e : g.OutEdges(o)) {
-          scratch.push_back(EncodeRefineLink(
-              Direction::kOutgoing, e.label,
-              g.IsAtomic(e.other) ? kAtomicType : block[e.other]));
-        }
-        for (const graph::HalfEdge& e : g.InEdges(o)) {
-          scratch.push_back(
-              EncodeRefineLink(Direction::kIncoming, e.label, block[e.other]));
-        }
-        // Canonical form: the local picture is a *set* of typed links, so
-        // sort and dedupe — the moral equivalent of TypeSignature's
-        // normalization, on a reused flat buffer.
-        std::sort(scratch.begin(), scratch.end());
-        scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                      scratch.end());
-
-        uint64_t h = Mix64(static_cast<uint64_t>(
-            static_cast<uint32_t>(block[o])));
-        for (uint64_t v : scratch) h = Mix64(h ^ v);
-        hash[i] = options.debug_force_hash_collisions ? 0 : h;
-        span_off[i] = shard.arena.size();
-        span_len[i] = static_cast<uint32_t>(scratch.size());
-        shard.arena.insert(shard.arena.end(), scratch.begin(), scratch.end());
+    arena.clear();
+    for (size_t i = 0; i < num_complex; ++i) {
+      graph::ObjectId o = complex_objects[i];
+      scratch.clear();
+      for (const graph::HalfEdge& e : g.OutEdges(o)) {
+        scratch.push_back(EncodeRefineLink(
+            Direction::kOutgoing, e.label,
+            g.IsAtomic(e.other) ? kAtomicType : block[e.other]));
       }
-    });
+      for (const graph::HalfEdge& e : g.InEdges(o)) {
+        scratch.push_back(
+            EncodeRefineLink(Direction::kIncoming, e.label, block[e.other]));
+      }
+      // Canonical form: the local picture is a *set* of typed links, so
+      // sort and dedupe — the moral equivalent of TypeSignature's
+      // normalization, on a reused flat buffer.
+      std::sort(scratch.begin(), scratch.end());
+      scratch.erase(std::unique(scratch.begin(), scratch.end()),
+                    scratch.end());
 
-    // Sequential reduce: deterministic block numbering + exact collision
-    // verification. Two objects share a block iff their previous blocks
-    // match AND their canonical encodings are identical — the hash only
-    // routes to a bucket, it is never trusted for equality.
+      uint64_t h = Mix64(static_cast<uint64_t>(
+          static_cast<uint32_t>(block[o])));
+      for (uint64_t v : scratch) h = Mix64(h ^ v);
+      hash[i] = options.debug_force_hash_collisions ? 0 : h;
+      span_off[i] = arena.size();
+      span_len[i] = static_cast<uint32_t>(scratch.size());
+      arena.insert(arena.end(), scratch.begin(), scratch.end());
+    }
+
+    // Block numbering + exact collision verification. Two objects share a
+    // block iff their previous blocks match AND their canonical encodings
+    // are identical — the hash only routes to a bucket, it is never
+    // trusted for equality.
     table.clear();
     size_t next_count = 0;
     auto same_key = [&](uint32_t a, uint32_t b) {
       if (block[complex_objects[a]] != block[complex_objects[b]]) return false;
       if (span_len[a] != span_len[b]) return false;
-      const uint64_t* pa = shards[shard_of[a]].arena.data() + span_off[a];
-      const uint64_t* pb = shards[shard_of[b]].arena.data() + span_off[b];
+      const uint64_t* pa = arena.data() + span_off[a];
+      const uint64_t* pb = arena.data() + span_off[b];
       return std::equal(pa, pa + span_len[a], pb);
     };
     for (size_t i = 0; i < num_complex; ++i) {

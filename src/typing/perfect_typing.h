@@ -37,8 +37,7 @@ struct PerfectTypingResult {
 ///
 /// Exact but O(N^2)-ish; intended for small/medium databases and as the
 /// reference the refinement algorithm is tested against. `options`
-/// parallelizes the GFP engine underneath and threads cancellation
-/// through it; the result is identical for every setting.
+/// threads cancellation through the GFP engine underneath.
 util::StatusOr<PerfectTypingResult> PerfectTypingViaGfp(
     graph::GraphView g, const ExecOptions& options = {});
 
@@ -57,21 +56,19 @@ util::StatusOr<PerfectTypingResult> PerfectTypingViaGfp(
 util::StatusOr<PerfectTypingResult> PerfectTypingViaRefinement(
     graph::GraphView g);
 
-/// Allocation-lean, optionally parallel partition refinement. Computes
+/// Allocation-lean partition refinement, the production Stage 1. Computes
 /// exactly the partition (and block numbering, and program) of
 /// PerfectTypingViaRefinement:
 ///
 ///  - Per round, each complex object's local picture is folded into a
 ///    64-bit hash combined with its previous block id — no TypeSignature
 ///    or std::map node is materialized. The canonical sorted/deduplicated
-///    link encoding is kept in a per-shard arena, so hash-bucket
+///    link encoding is kept in one reused arena, so hash-bucket
 ///    collisions are resolved by comparing the encodings exactly: the
 ///    partition is the exact coarsest full bisimulation regardless of
 ///    hash quality (options.debug_force_hash_collisions pins this).
-///  - Per-object hashing is sharded across options.pool / num_threads
-///    workers over the read-only graph; block ids are then assigned by a
-///    sequential reduce in object order, so the result is bit-identical
-///    for any thread count.
+///  - Block ids are assigned by first occurrence in object order, the
+///    reference's numbering, so the result is bit-identical to it.
 ///  - options.check_cancel is polled between rounds, making long extracts
 ///    cancellable mid-Stage-1.
 util::StatusOr<PerfectTypingResult> PerfectTypingViaHashRefinement(

@@ -1,8 +1,5 @@
 #include "typing/recast.h"
 
-#include "util/bitset.h"
-#include "util/parallel_for.h"
-
 namespace schemex::typing {
 
 TypeSignature ObjectPicture(graph::GraphView g,
@@ -69,39 +66,31 @@ util::StatusOr<RecastResult> Recast(
   SCHEMEX_ASSIGN_OR_RETURN(result.gfp, ComputeGfp(program, g, nullptr, exec));
 
   const size_t num_objects = g.NumObjects();
-  util::PoolRef pool(exec.pool, exec.num_threads);
   result.assignment = TypeAssignment(num_objects);
 
-  // Homes + exact GFP types. Each object's type row is written only by
-  // its shard; extents are read-only here, so shards are independent.
-  {
-    auto shards = util::ShardRanges(num_objects, pool.num_threads());
-    std::vector<size_t> shard_exact(shards.size(), 0);
-    util::RunShards(pool.get(), shards.size(), [&](size_t s) {
-      for (size_t i = shards[s].first; i < shards[s].second; ++i) {
-        auto o = static_cast<graph::ObjectId>(i);
-        if (i < homes.size()) {
-          for (TypeId t : homes[i]) result.assignment.Assign(o, t);
+  // Homes + exact GFP types.
+  for (size_t i = 0; i < num_objects; ++i) {
+    auto o = static_cast<graph::ObjectId>(i);
+    if (i < homes.size()) {
+      for (TypeId t : homes[i]) result.assignment.Assign(o, t);
+    }
+    if (!g.IsComplex(o)) continue;
+    bool exact = false;
+    for (size_t t = 0; t < program.NumTypes(); ++t) {
+      if (result.gfp.Contains(static_cast<TypeId>(t), o)) {
+        exact = true;
+        if (options.add_gfp_types) {
+          result.assignment.Assign(o, static_cast<TypeId>(t));
         }
-        if (!g.IsComplex(o)) continue;
-        bool exact = false;
-        for (size_t t = 0; t < program.NumTypes(); ++t) {
-          if (result.gfp.Contains(static_cast<TypeId>(t), o)) {
-            exact = true;
-            if (options.add_gfp_types) {
-              result.assignment.Assign(o, static_cast<TypeId>(t));
-            }
-          }
-        }
-        if (exact) ++shard_exact[s];
       }
-    });
-    for (size_t c : shard_exact) result.num_exact += c;
+    }
+    if (exact) ++result.num_exact;
   }
   SCHEMEX_RETURN_IF_ERROR(exec.Poll());
 
-  // Fallback pass runs against the assignment built so far, so pictures of
-  // stragglers see their neighbors' final types.
+  // Fallback pass runs in object order against the live assignment, so a
+  // straggler's picture sees the final types of every earlier straggler
+  // (and, on a self-loop, not yet its own).
   const bool fallback = options.nearest_type_fallback && program.NumTypes() > 0;
   std::vector<graph::ObjectId> stragglers;
   for (size_t i = 0; i < num_objects; ++i) {
@@ -116,55 +105,17 @@ util::StatusOr<RecastResult> Recast(
   }
   if (stragglers.empty()) return result;
 
-  // Speculative phase: every straggler's nearest type against the
-  // *pre-fallback* assignment, sharded on the bit kernel.
   BitSignatureIndex index(program);
   std::vector<BitSignature> type_encs(program.NumTypes());
   for (size_t t = 0; t < program.NumTypes(); ++t) {
     type_encs[t] =
         index.EncodeFrozen(program.type(static_cast<TypeId>(t)).signature);
   }
-  std::vector<TypeId> speculative(stragglers.size(), kInvalidType);
-  {
-    auto shards = util::ShardRanges(stragglers.size(), pool.num_threads());
-    util::RunShards(pool.get(), shards.size(), [&](size_t s) {
-      for (size_t i = shards[s].first; i < shards[s].second; ++i) {
-        speculative[i] = NearestTypeIndexed(g, result.assignment,
-                                            stragglers[i], index, type_encs);
-      }
-    });
-  }
-
-  // Sequential reduce in object order. A speculative answer is stale only
-  // if some neighbor was fallback-assigned earlier in this pass (its
-  // picture gained a link); those recompute against the live assignment.
-  // A straggler is never its own neighbor here: its bit is set *after* it
-  // is typed, matching the sequential reference where an object's picture
-  // is taken before its own assignment.
-  util::DenseBitset assigned_in_pass(num_objects);
   for (size_t i = 0; i < stragglers.size(); ++i) {
     if (i % kGfpCancelPollInterval == 0) SCHEMEX_RETURN_IF_ERROR(exec.Poll());
     graph::ObjectId o = stragglers[i];
-    bool stale = false;
-    for (const graph::HalfEdge& e : g.OutEdges(o)) {
-      if (!g.IsAtomic(e.other) && assigned_in_pass.Test(e.other)) {
-        stale = true;
-        break;
-      }
-    }
-    if (!stale) {
-      for (const graph::HalfEdge& e : g.InEdges(o)) {
-        if (assigned_in_pass.Test(e.other)) {
-          stale = true;
-          break;
-        }
-      }
-    }
-    TypeId t = stale ? NearestTypeIndexed(g, result.assignment, o, index,
-                                          type_encs)
-                     : speculative[i];
-    result.assignment.Assign(o, t);
-    assigned_in_pass.Set(o);
+    result.assignment.Assign(
+        o, NearestTypeIndexed(g, result.assignment, o, index, type_encs));
     ++result.num_fallback;
   }
   return result;

@@ -1,79 +1,19 @@
 #ifndef SCHEMEX_UTIL_PARALLEL_FOR_H_
 #define SCHEMEX_UTIL_PARALLEL_FOR_H_
 
-#include <algorithm>
-#include <future>
-#include <memory>
-#include <utility>
-#include <vector>
+#include <cstddef>
 
 #include "util/thread_pool.h"
 
 namespace schemex::util {
 
-/// Resolves "run on this pool or bring your own": borrows `external` when
-/// given, otherwise owns a transient pool of `num_threads` workers (none
-/// when num_threads <= 1 — callers then run inline on their own thread).
-///
-/// The transient pool lives exactly as long as the PoolRef, so algorithms
-/// that want one pool across many sharded phases construct a PoolRef once
-/// per invocation, not per phase.
+/// Unread by the library; perfbench/replay.cc still compiles against it.
+/// Every stage runs inline, so the "pool" it hands out is always null.
 class PoolRef {
  public:
-  PoolRef(ThreadPool* external, size_t num_threads) {
-    if (external != nullptr) {
-      pool_ = external;
-    } else if (num_threads > 1) {
-      owned_ = std::make_unique<ThreadPool>(num_threads);
-      pool_ = owned_.get();
-    }
-  }
-
-  /// The pool to shard on, or nullptr meaning "run inline".
-  ThreadPool* get() const { return pool_; }
-
-  /// Worker count a sharded phase should plan for (1 = inline).
-  size_t num_threads() const { return pool_ ? pool_->num_threads() : 1; }
-
- private:
-  std::unique_ptr<ThreadPool> owned_;
-  ThreadPool* pool_ = nullptr;
+  PoolRef(ThreadPool* /*external*/, size_t /*num_threads*/) {}
+  ThreadPool* get() const { return nullptr; }
 };
-
-/// Splits [0, n) into at most num_threads contiguous ranges whose
-/// boundaries are multiples of `align` (except the last), for sharded
-/// phases where workers write disjoint slices of shared arrays. With
-/// align = 64 the ranges touch disjoint words of a DenseBitset.
-inline std::vector<std::pair<size_t, size_t>> ShardRanges(size_t n,
-                                                          size_t num_threads,
-                                                          size_t align = 1) {
-  std::vector<std::pair<size_t, size_t>> shards;
-  if (n == 0) return shards;
-  size_t threads = std::max<size_t>(1, num_threads);
-  size_t chunk = (n + threads - 1) / threads;
-  chunk = ((chunk + align - 1) / align) * align;
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    shards.emplace_back(begin, std::min(n, begin + chunk));
-  }
-  return shards;
-}
-
-/// Runs fn(shard_index) for every shard on `pool`, blocking until all
-/// complete; pool == nullptr runs the shards inline in order. Exceptions
-/// from workers propagate to the caller (via future::get).
-template <typename Fn>
-void RunShards(ThreadPool* pool, size_t num_shards, Fn&& fn) {
-  if (pool == nullptr || num_shards <= 1) {
-    for (size_t s = 0; s < num_shards; ++s) fn(s);
-    return;
-  }
-  std::vector<std::future<void>> pending;
-  pending.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    pending.push_back(pool->Submit([&fn, s] { fn(s); }));
-  }
-  for (auto& f : pending) f.get();
-}
 
 }  // namespace schemex::util
 

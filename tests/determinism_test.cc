@@ -1,6 +1,6 @@
 // Determinism regression suite: the pipeline must be *bit-identical*
-// across repeated runs and across parallelism settings (ExtractorOptions
-// documents parallelism as "only trades wall-clock for cores"). Pins
+// across repeated runs on cold servers, whatever the server's worker
+// count. Pins
 //  * the extract response JSON (minus wall-clock "timings"),
 //  * the saved workspace artifacts — schema.dl text, snapshot.bin
 //    bytes, graph.sxg, assignment.tsv — byte for byte,
@@ -99,21 +99,21 @@ class DeterminismTest : public ::testing::Test {
   fs::path dir_;
 };
 
-/// One cold server: load the saved workspace, re-extract at the given
-/// parallelism, persist to save_dir. Returns the timing-stripped
-/// response line.
+/// One cold server with `workers` request threads: load the saved
+/// workspace, re-extract, persist to save_dir. Returns the
+/// timing-stripped response line.
 std::string RunServerExtract(const fs::path& load_dir,
-                             const fs::path& save_dir,
-                             uint64_t parallelism) {
-  service::Server server;
+                             const fs::path& save_dir, size_t workers = 4) {
+  service::ServerOptions so;
+  so.num_threads = workers;
+  service::Server server(so);
   std::string load = server.HandleJsonLine(
       "{\"id\":1,\"verb\":\"load_workspace\",\"params\":{\"name\":\"dbg\","
       "\"dir\":\"" + load_dir.string() + "\"}}");
   EXPECT_NE(load.find("\"ok\":true"), std::string::npos) << load;
   std::string resp = server.HandleJsonLine(
       "{\"id\":2,\"verb\":\"extract\",\"params\":{\"workspace\":\"dbg\","
-      "\"k\":6,\"parallelism\":" + std::to_string(parallelism) +
-      ",\"save_dir\":\"" + save_dir.string() + "\"}}");
+      "\"k\":6,\"save_dir\":\"" + save_dir.string() + "\"}}");
   EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
   return StripTimings(resp);
 }
@@ -122,15 +122,14 @@ TEST_F(DeterminismTest, ExtractResponseAndArtifactsAcrossRunsAndThreads) {
   catalog::Workspace ws = MakeDbgWorkspace();
   ASSERT_OK(catalog::SaveWorkspace(ws, (dir_ / "seed").string()));
 
-  // Two repeats at each parallelism: run-to-run AND thread-count drift
-  // both land in the same comparison.
-  const uint64_t kParallelism[] = {1, 1, 4, 4};
+  // Two repeats at each server worker count: run-to-run drift and any
+  // dependence on the thread a request lands on show up together.
+  const size_t kWorkers[] = {1, 1, 4, 4};
   std::vector<std::string> responses;
   std::vector<std::map<std::string, std::string>> artifacts;
   for (size_t i = 0; i < 4; ++i) {
     fs::path out = dir_ / ("out" + std::to_string(i));
-    std::string resp = RunServerExtract(dir_ / "seed", out,
-                                        kParallelism[i]);
+    std::string resp = RunServerExtract(dir_ / "seed", out, kWorkers[i]);
     // The per-run save_dir is echoed back as "saved_to"; neutralize it
     // so the comparison sees only pipeline output.
     size_t at = resp.find(out.string());
@@ -146,8 +145,8 @@ TEST_F(DeterminismTest, ExtractResponseAndArtifactsAcrossRunsAndThreads) {
       << "StripTimings left timings behind: " << responses[0];
   for (size_t i = 1; i < 4; ++i) {
     EXPECT_EQ(responses[0], responses[i])
-        << "extract response drifted (run 0 vs run " << i << ", p="
-        << kParallelism[i] << ")";
+        << "extract response drifted (run 0 vs run " << i << ", workers="
+        << kWorkers[i] << ")";
   }
 
   // schema.dl / snapshot.bin / graph.sxg / assignment.tsv, byte-equal.
@@ -158,8 +157,8 @@ TEST_F(DeterminismTest, ExtractResponseAndArtifactsAcrossRunsAndThreads) {
     for (const auto& [name, bytes] : artifacts[0]) {
       ASSERT_EQ(artifacts[i].count(name), 1u) << name;
       EXPECT_EQ(bytes, artifacts[i].at(name))
-          << name << " drifted (run 0 vs run " << i << ", p="
-          << kParallelism[i] << ")";
+          << name << " drifted (run 0 vs run " << i << ", workers="
+          << kWorkers[i] << ")";
     }
   }
 }
@@ -167,8 +166,8 @@ TEST_F(DeterminismTest, ExtractResponseAndArtifactsAcrossRunsAndThreads) {
 TEST_F(DeterminismTest, IncrementalReExtractMatchesColdExtraction) {
   // The incremental service path — extract (installs the cache), then
   // apply_delta, then re_extract — must save artifacts byte-identical
-  // to a cold extraction of an equivalently mutated graph, at every
-  // parallelism and in both overlay and compacted forms.
+  // to a cold extraction of an equivalently mutated graph, on repeated
+  // cold servers and in both overlay and compacted forms.
   catalog::Workspace seed_ws = MakeDbgWorkspace();
   ASSERT_OK(catalog::SaveWorkspace(seed_ws, (dir_ / "seed").string()));
 
@@ -213,7 +212,7 @@ TEST_F(DeterminismTest, IncrementalReExtractMatchesColdExtraction) {
   catalog::Workspace ref_ws;
   ref_ws.SetGraph(ref);
   ASSERT_OK(catalog::SaveWorkspace(ref_ws, (dir_ / "refseed").string()));
-  RunServerExtract(dir_ / "refseed", dir_ / "refout", 1);
+  RunServerExtract(dir_ / "refseed", dir_ / "refout");
   auto cold_artifacts = ReadDirBytes(dir_ / "refout");
   ASSERT_EQ(cold_artifacts.count("schema.dl"), 1u);
   ASSERT_EQ(cold_artifacts.count("snapshot.bin"), 1u);
@@ -222,7 +221,7 @@ TEST_F(DeterminismTest, IncrementalReExtractMatchesColdExtraction) {
 
   std::vector<std::string> responses;
   int run = 0;
-  for (uint64_t parallelism : {1, 4}) {
+  for (int repeat = 0; repeat < 2; ++repeat) {
     for (bool compact : {false, true}) {
       fs::path out = dir_ / ("inc" + std::to_string(run++));
       service::Server server;
@@ -232,7 +231,7 @@ TEST_F(DeterminismTest, IncrementalReExtractMatchesColdExtraction) {
       ASSERT_NE(load.find("\"ok\":true"), std::string::npos) << load;
       std::string ex = server.HandleJsonLine(
           "{\"id\":2,\"verb\":\"extract\",\"params\":{\"workspace\":\"dbg\","
-          "\"k\":6,\"parallelism\":" + std::to_string(parallelism) + "}}");
+          "\"k\":6}}");
       ASSERT_NE(ex.find("\"ok\":true"), std::string::npos) << ex;
       std::string ad = server.HandleJsonLine(
           "{\"id\":3,\"verb\":\"apply_delta\",\"params\":{\"workspace\":"
@@ -241,8 +240,7 @@ TEST_F(DeterminismTest, IncrementalReExtractMatchesColdExtraction) {
       ASSERT_NE(ad.find("\"ok\":true"), std::string::npos) << ad;
       std::string rx = server.HandleJsonLine(
           "{\"id\":4,\"verb\":\"re_extract\",\"params\":{\"workspace\":"
-          "\"dbg\",\"parallelism\":" + std::to_string(parallelism) +
-          ",\"save_dir\":\"" + out.string() + "\"}}");
+          "\"dbg\",\"save_dir\":\"" + out.string() + "\"}}");
       ASSERT_NE(rx.find("\"ok\":true"), std::string::npos) << rx;
 
       rx = StripTimings(rx);
@@ -256,13 +254,13 @@ TEST_F(DeterminismTest, IncrementalReExtractMatchesColdExtraction) {
       for (const auto& [name, bytes] : cold_artifacts) {
         ASSERT_EQ(artifacts.count(name), 1u) << name;
         EXPECT_EQ(bytes, artifacts.at(name))
-            << name << " drifted from the cold extraction (p="
-            << parallelism << ", compact=" << compact << ")";
+            << name << " drifted from the cold extraction (repeat "
+            << repeat << ", compact=" << compact << ")";
       }
     }
   }
   // The re_extract responses (timings stripped) must agree with each
-  // other across parallelism and overlay-vs-compacted forms: same k,
+  // other across repeats and overlay-vs-compacted forms: same k,
   // types, defect, recast counts, and incremental stats.
   ASSERT_NE(responses[0].find("\"incremental\""), std::string::npos)
       << responses[0];
@@ -273,15 +271,14 @@ TEST_F(DeterminismTest, IncrementalReExtractMatchesColdExtraction) {
 }
 
 TEST_F(DeterminismTest, SchemaTextIdenticalAcrossIndependentExtractions) {
-  // Independent dataset builds + extractions (sequential vs 4 workers)
-  // must serialize to the same datalog text.
+  // Independent dataset builds + extractions must serialize to the same
+  // datalog text.
   std::vector<std::string> texts;
-  for (size_t parallelism : {1, 4, 1, 4}) {
+  for (int run = 0; run < 4; ++run) {
     auto g = gen::MakeDbgDataset(7);
     ASSERT_TRUE(g.ok());
     extract::ExtractorOptions opt;
     opt.target_num_types = 5;
-    opt.parallelism = parallelism;
     auto r = extract::SchemaExtractor(opt).Run(*g);
     ASSERT_TRUE(r.ok());
     texts.push_back(

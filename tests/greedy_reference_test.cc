@@ -3,8 +3,10 @@
 // implementation of the same §5 algorithm, written independently below.
 // Any divergence in merge sequences or final programs is a bug in the
 // optimization. The grid runs every psi kind, with and without the empty
-// type, sequentially and on 4 threads, over small random programs and
-// over the DBG program clustered all the way down to one type, so each
+// type, over small random programs and over the DBG program clustered
+// all the way down to one type (the `_t4` instances also set
+// ExecOptions::num_threads = 4, which greedy does not read but the
+// end-to-end benchmark's replay still sets), so each
 // way a cached move can be kept or rescanned after a merge is exercised:
 // re-priced at equal cost (d, psi2, psi4), re-priced cheaper (psi1,
 // psi5), rescanned because it got dearer (psi3), and the empty candidate

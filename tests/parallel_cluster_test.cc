@@ -1,8 +1,13 @@
-// Parallel Stages 2-3 correctness: the sharded greedy clustering, the
-// k-center matrix, and the recast fallback must be *bit-identical* to
-// their sequential references for every thread count — merge sequence,
-// snapshots, and assignments included — and cancellation must fire inside
-// the stages, not only at their boundaries.
+// Stages 2-3 determinism: greedy clustering, k-center and the recast
+// fallback must give the same bytes on every run — merge sequence,
+// snapshots, work counters and assignments included — ties must break
+// the documented way, and cancellation must fire inside the stages, not
+// only at their boundaries.
+//
+// Every stage runs inline. ExecOptions::num_threads is unread but still
+// set by the end-to-end benchmark's replay, so the cases named after
+// thread counts run once with the default options and once with
+// num_threads = 4 and require the same bytes.
 
 #include <vector>
 
@@ -17,7 +22,6 @@
 #include "test_util.h"
 #include "typing/perfect_typing.h"
 #include "typing/recast.h"
-#include "util/parallel_for.h"
 
 namespace schemex {
 namespace {
@@ -70,6 +74,14 @@ void ExpectIdenticalClustering(const ClusteringResult& got,
   }
 }
 
+/// Options as the benchmark's replay sets them: a thread count the
+/// library does not read.
+typing::ExecOptions FourThreads() {
+  typing::ExecOptions exec;
+  exec.num_threads = 4;
+  return exec;
+}
+
 class ParallelClusterProperty : public ::testing::TestWithParam<uint64_t> {
  protected:
   graph::DataGraph MakeGraph() const {
@@ -98,18 +110,13 @@ TEST_P(ParallelClusterProperty, GreedyIdenticalAcrossThreadCounts) {
       ASSERT_OK_AND_ASSIGN(
           ClusteringResult ref,
           cluster::ClusterTypes(stage1.program, stage1.weight, copt));
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-        typing::ExecOptions exec;
-        exec.num_threads = threads;
-        ASSERT_OK_AND_ASSIGN(ClusteringResult got,
-                             cluster::ClusterTypes(stage1.program,
-                                                   stage1.weight, copt, exec));
-        ExpectIdenticalClustering(
-            got, ref,
-            std::string(cluster::PsiKindName(psi)) +
-                (empty ? "+empty" : "") + " threads=" +
-                std::to_string(threads));
-      }
+      ASSERT_OK_AND_ASSIGN(
+          ClusteringResult got,
+          cluster::ClusterTypes(stage1.program, stage1.weight, copt,
+                                FourThreads()));
+      ExpectIdenticalClustering(
+          got, ref,
+          std::string(cluster::PsiKindName(psi)) + (empty ? "+empty" : ""));
     }
   }
 }
@@ -121,24 +128,20 @@ TEST_P(ParallelClusterProperty, KCenterIdenticalAcrossThreadCounts) {
   ASSERT_OK_AND_ASSIGN(
       cluster::KCenterResult ref,
       cluster::KCenterCluster(stage1.program, stage1.weight, 4));
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    typing::ExecOptions exec;
-    exec.num_threads = threads;
-    ASSERT_OK_AND_ASSIGN(
-        cluster::KCenterResult got,
-        cluster::KCenterCluster(stage1.program, stage1.weight, 4, exec));
-    EXPECT_EQ(got.program, ref.program) << threads;
-    EXPECT_EQ(got.map, ref.map) << threads;
-    EXPECT_EQ(got.weights, ref.weights) << threads;
-    EXPECT_EQ(got.medoids, ref.medoids) << threads;
-    EXPECT_EQ(got.radius, ref.radius) << threads;
-  }
+  ASSERT_OK_AND_ASSIGN(cluster::KCenterResult got,
+                       cluster::KCenterCluster(stage1.program, stage1.weight,
+                                               4, FourThreads()));
+  EXPECT_EQ(got.program, ref.program);
+  EXPECT_EQ(got.map, ref.map);
+  EXPECT_EQ(got.weights, ref.weights);
+  EXPECT_EQ(got.medoids, ref.medoids);
+  EXPECT_EQ(got.radius, ref.radius);
 }
 
 TEST_P(ParallelClusterProperty, RecastIdenticalAcrossThreadCounts) {
   // Cluster aggressively with the empty type on, so the recast has real
-  // stragglers (homes dropped by empty moves) exercising the speculative
-  // fallback, then pin assignment identity across thread counts.
+  // stragglers (homes dropped by empty moves) exercising the fallback,
+  // then pin assignment identity across runs.
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
@@ -158,17 +161,13 @@ TEST_P(ParallelClusterProperty, RecastIdenticalAcrossThreadCounts) {
   ASSERT_OK_AND_ASSIGN(
       typing::RecastResult ref,
       typing::Recast(clustering.final_program, g, homes));
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    typing::ExecOptions exec;
-    exec.num_threads = threads;
-    ASSERT_OK_AND_ASSIGN(
-        typing::RecastResult got,
-        typing::Recast(clustering.final_program, g, homes, {}, exec));
-    EXPECT_EQ(got.assignment, ref.assignment) << threads;
-    EXPECT_EQ(got.num_exact, ref.num_exact) << threads;
-    EXPECT_EQ(got.num_fallback, ref.num_fallback) << threads;
-    EXPECT_EQ(got.num_untyped, ref.num_untyped) << threads;
-  }
+  ASSERT_OK_AND_ASSIGN(typing::RecastResult got,
+                       typing::Recast(clustering.final_program, g, homes, {},
+                                      FourThreads()));
+  EXPECT_EQ(got.assignment, ref.assignment);
+  EXPECT_EQ(got.num_exact, ref.num_exact);
+  EXPECT_EQ(got.num_fallback, ref.num_fallback);
+  EXPECT_EQ(got.num_untyped, ref.num_untyped);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelClusterProperty,
@@ -178,7 +177,7 @@ TEST(ParallelCluster, ForcedTiesBreakTowardLowestSourceDest) {
   // Three types {->a^0, ->p_i^0}: every merge costs d = 2 under kSimpleD,
   // and each |signature| = 2 prices the empty move at 2 as well — a
   // three-way tie. The deterministic order must pick the lowest (source,
-  // dest) pair and the empty move must lose, at every thread count.
+  // dest) pair and the empty move must lose.
   TypingProgram program;
   program.AddType("t0", TypeSignature::FromLinks(
                             {TypedLink::OutAtomic(0), TypedLink::OutAtomic(1)}));
@@ -192,19 +191,15 @@ TEST(ParallelCluster, ForcedTiesBreakTowardLowestSourceDest) {
   copt.psi = PsiKind::kSimpleD;
   copt.target_num_types = 1;
   copt.enable_empty_type = true;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-    typing::ExecOptions exec;
-    exec.num_threads = threads;
-    ASSERT_OK_AND_ASSIGN(ClusteringResult got,
-                         cluster::ClusterTypes(program, weights, copt, exec));
-    ASSERT_EQ(got.steps.size(), 2u) << threads;
-    EXPECT_EQ(got.steps[0].source, 0) << threads;
-    EXPECT_EQ(got.steps[0].dest, 1) << threads;
-    EXPECT_DOUBLE_EQ(got.steps[0].cost, 2.0) << threads;
-    // The empty move never wins a tie against a real destination.
-    EXPECT_NE(got.steps[0].dest, cluster::kEmptyType);
-    EXPECT_NE(got.steps[1].dest, cluster::kEmptyType);
-  }
+  ASSERT_OK_AND_ASSIGN(ClusteringResult got,
+                       cluster::ClusterTypes(program, weights, copt));
+  ASSERT_EQ(got.steps.size(), 2u);
+  EXPECT_EQ(got.steps[0].source, 0);
+  EXPECT_EQ(got.steps[0].dest, 1);
+  EXPECT_DOUBLE_EQ(got.steps[0].cost, 2.0);
+  // The empty move never wins a tie against a real destination.
+  EXPECT_NE(got.steps[0].dest, cluster::kEmptyType);
+  EXPECT_NE(got.steps[1].dest, cluster::kEmptyType);
 }
 
 TEST(ParallelCluster, StragglerSeesEarlierFallbackAssignment) {
@@ -212,12 +207,11 @@ TEST(ParallelCluster, StragglerSeesEarlierFallbackAssignment) {
   //   t0 = {->x^0}          (o0, exactly, via GFP)
   //   t1 = {<-m^t0, ->x^0}  (nobody exactly)
   //   t2 = {<-m^t1}         (nobody exactly)
-  // Sequential fallback, in object order: o1's picture {<-m^t0} is
-  // nearest t1 (d=1); o2's picture *after o1 is typed* is {<-m^t1},
-  // nearest t2 at d=0. Speculating o2 against the pre-fallback
-  // assignment would give t0 (empty picture ties t0/t2, lowest id wins)
-  // — so this pins that the parallel reduce recomputes stragglers whose
-  // neighbor was assigned earlier in the pass.
+  // Fallback, in object order: o1's picture {<-m^t0} is nearest t1
+  // (d=1); o2's picture *after o1 is typed* is {<-m^t1}, nearest t2 at
+  // d=0. Pricing o2 against the pre-fallback assignment would give t0
+  // (empty picture ties t0/t2, lowest id wins) — so this pins that each
+  // straggler is priced against the live assignment.
   graph::GraphBuilder b;
   EXPECT_OK(b.Complex("o0"));
   EXPECT_OK(b.Complex("o1"));
@@ -248,16 +242,7 @@ TEST(ParallelCluster, StragglerSeesEarlierFallbackAssignment) {
   ASSERT_EQ(ref.assignment.TypesOf(1).size(), 1u);
   EXPECT_EQ(ref.assignment.TypesOf(1)[0], 1);  // o1 -> t1
   ASSERT_EQ(ref.assignment.TypesOf(2).size(), 1u);
-  EXPECT_EQ(ref.assignment.TypesOf(2)[0], 2);  // o2 -> t2, NOT speculative t0
-
-  for (size_t threads : {size_t{2}, size_t{4}}) {
-    typing::ExecOptions exec;
-    exec.num_threads = threads;
-    ASSERT_OK_AND_ASSIGN(typing::RecastResult got,
-                         typing::Recast(program, g, homes, {}, exec));
-    EXPECT_EQ(got.assignment, ref.assignment) << threads;
-    EXPECT_EQ(got.num_fallback, ref.num_fallback) << threads;
-  }
+  EXPECT_EQ(ref.assignment.TypesOf(2)[0], 2);  // o2 -> t2, NOT t0
 }
 
 TEST(ParallelCluster, DbgRescanCountIsPinned) {
@@ -272,16 +257,12 @@ TEST(ParallelCluster, DbgRescanCountIsPinned) {
   ClusteringOptions copt;
   copt.psi = PsiKind::kPsi2;
   copt.target_num_types = 6;
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    typing::ExecOptions exec;
-    exec.num_threads = threads;
-    ASSERT_OK_AND_ASSIGN(
-        ClusteringResult r,
-        cluster::ClusterTypes(stage1.program, stage1.weight, copt, exec));
-    EXPECT_EQ(stage1.program.NumTypes(), 92u) << threads;
-    EXPECT_EQ(r.steps.size(), 86u) << threads;
-    EXPECT_EQ(r.rescans, 261u) << threads;
-  }
+  ASSERT_OK_AND_ASSIGN(
+      ClusteringResult r,
+      cluster::ClusterTypes(stage1.program, stage1.weight, copt));
+  EXPECT_EQ(stage1.program.NumTypes(), 92u);
+  EXPECT_EQ(r.steps.size(), 86u);
+  EXPECT_EQ(r.rescans, 261u);
 }
 
 TEST(ParallelCluster, Stage2CancellationBeforeMergeSteps) {
@@ -297,7 +278,6 @@ TEST(ParallelCluster, Stage2CancellationBeforeMergeSteps) {
 
   size_t total_polls = 0;
   typing::ExecOptions count_exec;
-  count_exec.num_threads = 2;
   count_exec.check_cancel = [&total_polls] {
     ++total_polls;
     return util::Status::OK();
@@ -310,7 +290,6 @@ TEST(ParallelCluster, Stage2CancellationBeforeMergeSteps) {
   size_t polls = 0;
   const size_t cancel_at = total_polls;
   typing::ExecOptions exec;
-  exec.num_threads = 2;
   exec.check_cancel = [&polls, cancel_at] {
     return ++polls >= cancel_at
                ? util::Status::DeadlineExceeded("stage2 cancel")
@@ -334,7 +313,6 @@ TEST(ParallelCluster, Stage3CancellationMidRecast) {
 
   size_t total_polls = 0;
   typing::ExecOptions count_exec;
-  count_exec.num_threads = 2;
   count_exec.check_cancel = [&total_polls] {
     ++total_polls;
     return util::Status::OK();
@@ -345,7 +323,6 @@ TEST(ParallelCluster, Stage3CancellationMidRecast) {
   size_t polls = 0;
   const size_t cancel_at = total_polls;
   typing::ExecOptions exec;
-  exec.num_threads = 2;
   exec.check_cancel = [&polls, cancel_at] {
     return ++polls >= cancel_at
                ? util::Status::DeadlineExceeded("stage3 cancel")
@@ -355,36 +332,6 @@ TEST(ParallelCluster, Stage3CancellationMidRecast) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kDeadlineExceeded);
   EXPECT_EQ(result.status().message(), "stage3 cancel");
-}
-
-TEST(ParallelCluster, ExternalPoolIsShared) {
-  // An externally owned pool serves multiple clustering calls without
-  // being torn down, and the results still match the inline reference.
-  gen::RandomGraphOptions opt;
-  opt.num_complex = 60;
-  opt.num_atomic = 30;
-  opt.num_edges = 200;
-  opt.num_labels = 3;
-  opt.seed = 5;
-  graph::DataGraph g = gen::RandomGraph(opt);
-  ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
-  ClusteringOptions copt;
-  copt.target_num_types = 2;
-  ASSERT_OK_AND_ASSIGN(
-      ClusteringResult ref,
-      cluster::ClusterTypes(stage1.program, stage1.weight, copt));
-
-  util::PoolRef pool(nullptr, 4);
-  typing::ExecOptions exec;
-  exec.pool = pool.get();
-  exec.num_threads = 4;
-  for (int round = 0; round < 3; ++round) {
-    ASSERT_OK_AND_ASSIGN(
-        ClusteringResult got,
-        cluster::ClusterTypes(stage1.program, stage1.weight, copt, exec));
-    ExpectIdenticalClustering(got, ref, "external pool");
-  }
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
-// Parallel Stage 1 correctness: the sharded hash-refinement and the
-// parallel GFP must be *bit-identical* to their sequential references for
-// every thread count — block ids included, not just the partition — and
+// Stage 1 correctness: hash refinement must be *bit-identical* to the
+// std::map reference — block ids included, not just the partition — and
 // cancellation must fire inside the algorithms, not only at stage
 // boundaries.
+//
+// Every stage runs inline. ExecOptions::num_threads is unread but still
+// set by the end-to-end benchmark's replay, so the cases named after
+// thread counts run once with the default options and once with
+// num_threads = 4 and require the same bytes.
 
 #include <atomic>
 #include <vector>
@@ -17,18 +21,25 @@
 #include "test_util.h"
 #include "typing/gfp.h"
 #include "typing/perfect_typing.h"
-#include "util/parallel_for.h"
 
 namespace schemex {
 namespace {
 
-/// Asserts a parallel result matches the sequential reference exactly:
+/// Asserts a result matches the reference exactly:
 /// same home ids, same program (type order and signatures), same weights.
 void ExpectIdentical(const typing::PerfectTypingResult& got,
                      const typing::PerfectTypingResult& want) {
   EXPECT_EQ(got.home, want.home);
   EXPECT_EQ(got.weight, want.weight);
   EXPECT_EQ(got.program, want.program);
+}
+
+/// Options as the benchmark's replay sets them: a thread count the
+/// library does not read.
+typing::ExecOptions FourThreads() {
+  typing::ExecOptions exec;
+  exec.num_threads = 4;
+  return exec;
 }
 
 class ParallelRefinementProperty : public ::testing::TestWithParam<uint64_t> {
@@ -48,13 +59,9 @@ TEST_P(ParallelRefinementProperty, HashRefinementMatchesReference) {
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult ref,
                        typing::PerfectTypingViaRefinement(g));
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    typing::ExecOptions exec;
-    exec.num_threads = threads;
-    ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult got,
-                         typing::PerfectTypingViaHashRefinement(g, exec));
-    ExpectIdentical(got, ref);
-  }
+  ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult got,
+                       typing::PerfectTypingViaHashRefinement(g));
+  ExpectIdentical(got, ref);
 }
 
 TEST_P(ParallelRefinementProperty, ForcedHashCollisionsStillExact) {
@@ -65,7 +72,6 @@ TEST_P(ParallelRefinementProperty, ForcedHashCollisionsStillExact) {
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult ref,
                        typing::PerfectTypingViaRefinement(g));
   typing::ExecOptions exec;
-  exec.num_threads = 2;
   exec.debug_force_hash_collisions = true;
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult got,
                        typing::PerfectTypingViaHashRefinement(g, exec));
@@ -76,28 +82,26 @@ TEST_P(ParallelRefinementProperty, ParallelGfpMatchesSequential) {
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
+  typing::GfpStats seq_stats;
   ASSERT_OK_AND_ASSIGN(typing::Extents seq,
-                       typing::ComputeGfp(stage1.program, g));
-  for (size_t threads : {size_t{2}, size_t{4}}) {
-    typing::ExecOptions exec;
-    exec.num_threads = threads;
-    typing::GfpStats stats;
-    ASSERT_OK_AND_ASSIGN(
-        typing::Extents par,
-        typing::ComputeGfp(stage1.program, g, &stats, exec));
-    EXPECT_EQ(par, seq);
-    EXPECT_GT(stats.initial_candidates, 0u);
-  }
+                       typing::ComputeGfp(stage1.program, g, &seq_stats));
+  typing::GfpStats stats;
+  ASSERT_OK_AND_ASSIGN(
+      typing::Extents par,
+      typing::ComputeGfp(stage1.program, g, &stats, FourThreads()));
+  EXPECT_EQ(par, seq);
+  EXPECT_GT(stats.initial_candidates, 0u);
+  EXPECT_EQ(stats.initial_candidates, seq_stats.initial_candidates);
+  EXPECT_EQ(stats.rechecks, seq_stats.rechecks);
+  EXPECT_EQ(stats.removed, seq_stats.removed);
 }
 
 TEST_P(ParallelRefinementProperty, GfpBasedTypingMatchesUnderThreads) {
   graph::DataGraph g = MakeGraph();
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult seq,
                        typing::PerfectTypingViaGfp(g));
-  typing::ExecOptions exec;
-  exec.num_threads = 4;
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult par,
-                       typing::PerfectTypingViaGfp(g, exec));
+                       typing::PerfectTypingViaGfp(g, FourThreads()));
   ExpectIdentical(par, seq);
 }
 
@@ -112,15 +116,12 @@ TEST(ParallelRefinement, DbgDatasetIdenticalAcrossThreadCounts) {
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 4242));
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult ref,
                        typing::PerfectTypingViaRefinement(g));
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    util::PoolRef pool(nullptr, threads);
-    typing::ExecOptions exec;
-    exec.num_threads = threads;
-    exec.pool = pool.get();
-    ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult got,
-                         typing::PerfectTypingViaHashRefinement(g, exec));
-    ExpectIdentical(got, ref);
-  }
+  ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult got,
+                       typing::PerfectTypingViaHashRefinement(g));
+  ExpectIdentical(got, ref);
+  ASSERT_OK_AND_ASSIGN(got,
+                       typing::PerfectTypingViaHashRefinement(g, FourThreads()));
+  ExpectIdentical(got, ref);
 }
 
 TEST(ParallelRefinement, CancellationBetweenRounds) {
@@ -131,7 +132,6 @@ TEST(ParallelRefinement, CancellationBetweenRounds) {
   // on a fresh run — the abort must surface the hook's status verbatim.
   size_t total_polls = 0;
   typing::ExecOptions count_exec;
-  count_exec.num_threads = 2;
   count_exec.check_cancel = [&total_polls] {
     ++total_polls;
     return util::Status::OK();
@@ -142,7 +142,6 @@ TEST(ParallelRefinement, CancellationBetweenRounds) {
   size_t polls = 0;
   const size_t cancel_at = total_polls - 1;
   typing::ExecOptions exec;
-  exec.num_threads = 2;
   exec.check_cancel = [&polls, cancel_at] {
     return ++polls >= cancel_at
                ? util::Status::DeadlineExceeded("test cancel")
@@ -193,44 +192,12 @@ TEST(ParallelGfp, WorklistPollsCancellation) {
   EXPECT_EQ(polls, 3u);
 }
 
-TEST(ParallelExtractor, ParallelismKnobPreservesResults) {
-  gen::DatasetSpec spec = gen::DbgSpec();
-  for (auto& t : spec.types) t.count *= 2;
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 7));
-
-  extract::ExtractorOptions seq_opt;
-  seq_opt.target_num_types = 6;
-  seq_opt.parallelism = 1;
-  ASSERT_OK_AND_ASSIGN(extract::ExtractionResult seq,
-                       extract::SchemaExtractor(seq_opt).Run(g));
-
-  extract::ExtractorOptions par_opt = seq_opt;
-  par_opt.parallelism = 4;
-  ASSERT_OK_AND_ASSIGN(extract::ExtractionResult par,
-                       extract::SchemaExtractor(par_opt).Run(g));
-
-  EXPECT_EQ(par.final_program, seq.final_program);
-  EXPECT_EQ(par.final_homes, seq.final_homes);
-  EXPECT_EQ(par.perfect.home, seq.perfect.home);
-  EXPECT_EQ(par.defect.defect(), seq.defect.defect());
-
-  // Per-stage timings are populated on both paths.
-  for (const auto& r : {seq, par}) {
-    EXPECT_GT(r.timings.total_ms, 0.0);
-    EXPECT_GE(r.timings.total_ms, r.timings.stage1_ms);
-    EXPECT_GE(r.timings.stage1_ms, 0.0);
-    EXPECT_GE(r.timings.cluster_ms, 0.0);
-    EXPECT_GE(r.timings.recast_ms, 0.0);
-  }
-}
-
 TEST(ParallelExtractor, CancellationInsideStage1) {
   // A hook that fails from the very first poll aborts inside Stage 1 —
   // before any stage boundary — and the status propagates verbatim.
   gen::DatasetSpec spec = gen::DbgSpec();
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 7));
   extract::ExtractorOptions opt;
-  opt.parallelism = 2;
   std::atomic<size_t> polls{0};
   opt.check_cancel = [&polls] {
     ++polls;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,6 +130,82 @@ TEST_F(ServiceTest, ExtractAutoKPicksKnee) {
   double k = Field(resp.result, "k").AsNumber();
   EXPECT_GE(k, 1);
   EXPECT_LE(k, 20);
+}
+
+TEST_F(ServiceTest, AutoKTimingsCoverTheKneeSweep) {
+  Server server;
+  ASSERT_OK(server.InstallWorkspace("dbg", MakeDbgWorkspace()));
+  Request req = MakeRequest(Verb::kExtract);
+  req.extract.workspace = "dbg";
+  req.extract.k = 0;  // auto: the knee sweep runs first
+  Response resp = server.Handle(req);
+  ASSERT_OK(resp.status);
+  const Value& auto_t = Field(resp.result, "timings");
+  const double sweep_ms = Field(auto_t, "sweep_ms").AsNumber();
+  EXPECT_GT(sweep_ms, 0.0);
+  EXPECT_GE(Field(auto_t, "total_ms").AsNumber(), sweep_ms);
+
+  req.extract.k = 6;  // fixed k: no sweep
+  resp = server.Handle(req);
+  ASSERT_OK(resp.status);
+  EXPECT_EQ(Field(Field(resp.result, "timings"), "sweep_ms").AsNumber(), 0.0);
+
+  // One sweep ran, so the extract.sweep histogram holds one sample.
+  Response stats = server.Handle(MakeRequest(Verb::kStats));
+  ASSERT_OK(stats.status);
+  bool saw_sweep = false;
+  for (const Value& v : Field(stats.result, "verbs").AsArray()) {
+    if (Field(v, "verb").AsString() == "extract.sweep") {
+      saw_sweep = true;
+      EXPECT_EQ(Field(v, "count").AsNumber(), 1);
+    }
+  }
+  EXPECT_TRUE(saw_sweep);
+}
+
+/// A response line with its wall-clock "timings" object removed.
+std::string WithoutTimings(const std::string& line) {
+  auto v = json::Parse(line);
+  EXPECT_TRUE(v.ok()) << line;
+  std::map<std::string, Value> top = v->AsObject();
+  std::map<std::string, Value> result = top.at("result").AsObject();
+  EXPECT_EQ(result.erase("timings"), 1u) << line;
+  top["result"] = Value::Object(std::move(result));
+  return json::Serialize(Value::Object(std::move(top)));
+}
+
+TEST_F(ServiceTest, ParallelismParamIsAcceptedAndIgnored) {
+  // Older clients still send "parallelism" on extract and re_extract;
+  // the param is ignored, so their responses match byte for byte.
+  catalog::Workspace ws = MakeDbgWorkspace();
+  const std::string n = std::to_string(ws.graph->NumObjects());
+  const std::string ops =
+      "[{\"op\":\"add_object\",\"kind\":\"complex\",\"name\":\"c\"},"
+      "{\"op\":\"add_object\",\"kind\":\"atomic\",\"value\":\"v\"},"
+      "{\"op\":\"add_link\",\"from\":" + n + ",\"to\":" +
+      std::to_string(ws.graph->NumObjects() + 1) + ",\"label\":\"x\"}]";
+  std::vector<std::vector<std::string>> runs;
+  for (const std::string extra : {"", ",\"parallelism\":4"}) {
+    Server server;
+    ASSERT_OK(server.InstallWorkspace("dbg", MakeDbgWorkspace()));
+    std::vector<std::string> lines;
+    lines.push_back(server.HandleJsonLine(
+        "{\"id\":1,\"verb\":\"extract\",\"params\":{\"workspace\":\"dbg\","
+        "\"k\":6" + extra + "}}"));
+    lines.push_back(server.HandleJsonLine(
+        "{\"id\":2,\"verb\":\"apply_delta\",\"params\":{\"workspace\":"
+        "\"dbg\",\"ops\":" + ops + "}}"));
+    lines.push_back(server.HandleJsonLine(
+        "{\"id\":3,\"verb\":\"re_extract\",\"params\":{\"workspace\":"
+        "\"dbg\"" + extra + "}}"));
+    for (const std::string& line : lines) {
+      ASSERT_NE(line.find("\"ok\":true"), std::string::npos) << line;
+    }
+    lines[0] = WithoutTimings(lines[0]);
+    lines[2] = WithoutTimings(lines[2]);
+    runs.push_back(std::move(lines));
+  }
+  EXPECT_EQ(runs[0], runs[1]);
 }
 
 TEST_F(ServiceTest, TypeVerbWithInlineProgram) {

@@ -65,7 +65,6 @@ import facts
 
 DETERMINISM_DIRS = ("src/typing", "src/cluster", "src/extract", "src/graph")
 VIEW_DIRS = ("src", "tools")
-POOL_CAPTURE_EXEMPT = ("src/util",)  # RunShards et al: audited, blocking
 RANDOM_DIRS = ("src", "tools", "bench")
 
 DETERMINISM_RE = re.compile(r"//.*\bDETERMINISM:\s*\S")
@@ -181,8 +180,6 @@ def apply_rules(rel: str, file_facts: list,
                  OWNER_RE)
         elif isinstance(f, facts.RefCapturePool):
             if not _in_dirs(rel, VIEW_DIRS):
-                continue
-            if _in_dirs(rel, POOL_CAPTURE_EXEMPT):
                 continue
             emit(f.line, RULE_VIEW_ESCAPE,
                  f"by-reference lambda capture passed to {f.callee}(): "

@@ -10,9 +10,6 @@
 // Common flags:
 //   --threads N          worker threads (default 4)
 //   --timeout S          default per-request budget in seconds (default 60)
-//   --parallelism N      default Stage-1 parallelism for extract requests
-//                        that leave the field unset (0 = auto/hardware,
-//                        1 = sequential reference path; default 0)
 //   --workspace NAME=DIR preload a SaveWorkspace directory into the cache
 //                        (repeatable)
 //   --gen-demo DIR       write the paper's DBG-like demo database to DIR
@@ -69,7 +66,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s (--serve | --once '<json-request>' | --listen PORT)\n"
-      "          [--threads N] [--timeout S] [--parallelism N]\n"
+      "          [--threads N] [--timeout S]\n"
       "          [--workspace NAME=DIR]... [--bind ADDR] [--idle-timeout S]\n"
       "          [--max-line BYTES] [--port-file PATH]\n",
       argv0);
@@ -251,13 +248,6 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
       options.default_timeout_s = s;
-    } else if (arg == "--parallelism") {
-      const char* v = next();
-      uint64_t n = 0;
-      if (v == nullptr || !schemex::util::ParseUint64(v, &n)) {
-        return Usage(argv[0]);
-      }
-      options.default_parallelism = static_cast<size_t>(n);
     } else if (arg == "--gen-demo") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
