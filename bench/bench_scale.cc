@@ -21,20 +21,8 @@
 //               stage1-only row (large scales) —
 //                 {"bench":"scale","algo":"hash","objects":N,
 //                  "edges":N,"threads":1,"stage1_ms":F,"speedup":1.000}
-//               cluster_kernel row —
-//                 {"bench":"cluster_kernel","kernel":"sorted"|"bit",
-//                  "types":N,"pairs":N,"reps":N,"ms":F,"speedup":F}
 //   --smoke   scales {1, 5} only and skip the large Stage-1-only section
 //             (CI-sized)
-//
-// Besides the per-stage pipeline rows, --json emits a "cluster_kernel"
-// pair per scale comparing the two distance implementations over the
-// Stage-1 all-pairs scan: the sorted-vector reference
-// (TypeSignature::SymmetricDifferenceSize) vs the packed XOR+popcount
-// kernel (BitSignatureIndex). Both sums are checked equal before the rows
-// print; a mismatch exits 1. The scan is the one k-center and exhaustive
-// search run to fill their matrices; greedy clustering (cluster_ms) uses
-// neither kernel — it computes sparse distances on demand.
 
 #include <algorithm>
 #include <cstdio>
@@ -47,7 +35,6 @@
 #include "gen/spec.h"
 #include "graph/delta_overlay.h"
 #include "graph/frozen_graph.h"
-#include "typing/bit_signature.h"
 #include "typing/defect.h"
 #include "typing/perfect_typing.h"
 #include "typing/recast.h"
@@ -121,91 +108,12 @@ double BenchApplyDelta(const std::shared_ptr<const graph::FrozenGraph>& frozen) 
   return best;
 }
 
-/// Times the all-pairs distance scan on both kernels (best of 3,
-/// repeated until each timed run covers a few million pair distances so
-/// small scales still produce stable numbers). Returns false if the two
-/// kernels disagree on the summed distance.
-bool BenchDistanceKernels(const typing::TypingProgram& p, bool json,
-                          std::vector<std::string>* table_lines) {
-  const size_t n = p.NumTypes();
-  if (n < 2) return true;
-  const size_t pairs = n * (n - 1) / 2;
-  const int reps = static_cast<int>(std::max<size_t>(1, 4'000'000 / pairs));
-
-  uint64_t sorted_sum = 0;
-  double sorted_ms = 1e300;
-  for (int best = 0; best < 3; ++best) {
-    util::WallTimer t;
-    uint64_t sum = 0;
-    for (int r = 0; r < reps; ++r) {
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = i + 1; j < n; ++j) {
-          sum += typing::TypeSignature::SymmetricDifferenceSize(
-              p.type(static_cast<typing::TypeId>(i)).signature,
-              p.type(static_cast<typing::TypeId>(j)).signature);
-        }
-      }
-    }
-    sorted_ms = std::min(sorted_ms, t.ElapsedMillis());
-    sorted_sum = sum;
-  }
-
-  uint64_t bit_sum = 0;
-  double bit_ms = 1e300;
-  for (int best = 0; best < 3; ++best) {
-    util::WallTimer t;
-    // Encoding is part of the kernel's cost: bill it like k-center does
-    // (once per scan, then XOR+popcount per pair).
-    typing::BitSignatureIndex index(p);
-    std::vector<typing::BitSignature> enc(n);
-    for (size_t i = 0; i < n; ++i) {
-      enc[i] = index.Encode(p.type(static_cast<typing::TypeId>(i)).signature);
-    }
-    uint64_t sum = 0;
-    for (int r = 0; r < reps; ++r) {
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = i + 1; j < n; ++j) {
-          sum += typing::BitSignatureIndex::Distance(enc[i], enc[j]);
-        }
-      }
-    }
-    bit_ms = std::min(bit_ms, t.ElapsedMillis());
-    bit_sum = sum;
-  }
-
-  if (sorted_sum != bit_sum) {
-    std::fprintf(stderr,
-                 "FAIL: kernel distance sums diverge (sorted %llu, bit %llu)\n",
-                 static_cast<unsigned long long>(sorted_sum),
-                 static_cast<unsigned long long>(bit_sum));
-    return false;
-  }
-  if (json) {
-    std::printf(
-        "{\"bench\":\"cluster_kernel\",\"kernel\":\"sorted\",\"types\":%zu,"
-        "\"pairs\":%zu,\"reps\":%d,\"ms\":%.3f,\"speedup\":1.000}\n",
-        n, pairs, reps, sorted_ms);
-    std::printf(
-        "{\"bench\":\"cluster_kernel\",\"kernel\":\"bit\",\"types\":%zu,"
-        "\"pairs\":%zu,\"reps\":%d,\"ms\":%.3f,\"speedup\":%.3f}\n",
-        n, pairs, reps, bit_ms, bit_ms > 0 ? sorted_ms / bit_ms : 0.0);
-  } else {
-    table_lines->push_back(util::StringPrintf(
-        "%zu types (%zu pairs x %d reps): sorted %.1f ms, bit %.1f ms "
-        "(%.1fx)",
-        n, pairs, reps, sorted_ms, bit_ms,
-        bit_ms > 0 ? sorted_ms / bit_ms : 0.0));
-  }
-  return true;
-}
-
 int Run(bool json, bool smoke) {
   if (!json) {
     std::cout << "== Pipeline scalability (DBG-style data, refinement Stage "
                  "1) ==\n";
   }
   util::TablePrinter table;
-  std::vector<std::string> kernel_lines;
   table.SetHeader({"scale", "objects", "links", "stage1 (ms)",
                    "stage1 types", "cluster->6 (ms)", "recast+defect (ms)",
                    "apply_delta (ms)", "total (ms)", "defect"});
@@ -259,14 +167,9 @@ int Run(bool json, bool smoke) {
                     util::StringPrintf("%.1f", total.ElapsedMillis()),
                     util::StringPrintf("%zu", defect.defect())});
     }
-    if (!BenchDistanceKernels(stage1->program, json, &kernel_lines)) return 1;
   }
   if (!json) {
     table.Print(std::cout);
-    std::cout << "\n-- Stage-2 distance kernel, sorted vs bit-parallel --\n";
-    for (const std::string& line : kernel_lines) {
-      std::cout << line << "\n";
-    }
   }
 
   // Stage 1 alone keeps scaling far past where the O(T^2..3) clustering

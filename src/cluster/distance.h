@@ -6,20 +6,9 @@
 #include <cstddef>
 #include <string_view>
 
-#include "typing/bit_signature.h"
 #include "typing/type_signature.h"
 
 namespace schemex::cluster {
-
-/// The bit-parallel distance kernel (XOR + popcount over the program's
-/// typed-link universe). Only the k-center and exhaustive-search
-/// clusterers (all-pairs matrices) and Stage 3's recast use it; greedy
-/// clustering computes sparse distances on demand over sorted typed-link
-/// id lists in O(n + sum of |body|) memory (greedy.cc). Defined in typing/
-/// so Stage 3 can share it. SimpleDistance below stays the sorted-vector
-/// reference both are tested against.
-using BitSignature = typing::BitSignature;
-using BitSignatureIndex = typing::BitSignatureIndex;
 
 /// The weighted distance functions of §5.2. All take the simple Manhattan
 /// distance d (symmetric difference of rule bodies), the weights w1 (the

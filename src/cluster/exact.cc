@@ -72,21 +72,14 @@ util::StatusOr<ExactResult> ExactOptimalTyping(
   ExactResult best;
   best.defect = std::numeric_limits<size_t>::max();
 
-  // All-pairs signature distances on the bit kernel, once up front, in
-  // one flat row-major n x n matrix.
+  // All-pairs signature distances, once up front, in one flat row-major
+  // n x n matrix.
   std::vector<uint32_t> d(n * n, 0);
-  {
-    typing::BitSignatureIndex index(stage1.program);
-    std::vector<typing::BitSignature> enc(n);
-    for (size_t i = 0; i < n; ++i) {
-      enc[i] = index.Encode(stage1.program.type(static_cast<TypeId>(i))
-                                .signature);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        d[i * n + j] = d[j * n + i] = static_cast<uint32_t>(
-            typing::BitSignatureIndex::Distance(enc[i], enc[j]));
-      }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      d[i * n + j] = d[j * n + i] = static_cast<uint32_t>(SimpleDistance(
+          stage1.program.type(static_cast<TypeId>(i)).signature,
+          stage1.program.type(static_cast<TypeId>(j)).signature));
     }
   }
 

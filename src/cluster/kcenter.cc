@@ -28,20 +28,16 @@ util::StatusOr<KCenterResult> KCenterCluster(
   SCHEMEX_RETURN_IF_ERROR(exec.Poll());
   k = std::min(k, n);
 
-  // Pairwise simple distances on the bit kernel in one flat n x n matrix.
-  BitSignatureIndex index(stage1);
-  std::vector<BitSignature> enc(n);
-  for (size_t i = 0; i < n; ++i) {
-    enc[i] = index.Encode(stage1.type(static_cast<TypeId>(i)).signature);
-  }
+  // Pairwise simple distances in one flat n x n matrix.
   std::vector<uint32_t> dist(n * n, 0);
   auto d = [&dist, n](size_t i, size_t j) -> size_t {
     return dist[i * n + j];
   };
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      dist[i * n + j] = dist[j * n + i] =
-          static_cast<uint32_t>(BitSignatureIndex::Distance(enc[i], enc[j]));
+      dist[i * n + j] = dist[j * n + i] = static_cast<uint32_t>(
+          SimpleDistance(stage1.type(static_cast<TypeId>(i)).signature,
+                         stage1.type(static_cast<TypeId>(j)).signature));
     }
   }
   SCHEMEX_RETURN_IF_ERROR(exec.Poll());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <optional>
 #include <set>
 #include <string_view>
 #include <utility>
@@ -27,6 +28,7 @@ namespace schemex::service {
 namespace {
 
 using json::Value;
+using Fields = std::map<std::string, Value>;
 
 double SecondsSince(std::chrono::steady_clock::time_point t0,
                     std::chrono::steady_clock::time_point now) {
@@ -46,8 +48,8 @@ Value MisfitFields(const catalog::Workspace& ws) {
           ? 0.0
           : static_cast<double>(fallback) /
                 static_cast<double>(ws.delta_arrivals));
-  m["retype_recommended"] = Value::Bool(
-      typing::IncrementalTyper::RetypeRecommended(ws.delta_arrivals, fallback));
+  m["retype_recommended"] =
+      Value::Bool(typing::RetypeRecommended(ws.delta_arrivals, fallback));
   return Value::Object(std::move(m));
 }
 
@@ -79,9 +81,8 @@ std::map<std::string, Value> WorkspaceSummaryFields(
     d["overlay_bytes"] = JsonUint(ws.overlay->MemoryUsage());
     f["overlay"] = Value::Object(std::move(d));
   }
-  f["retype_recommended"] = Value::Bool(typing::IncrementalTyper::
-      RetypeRecommended(ws.delta_arrivals,
-                        ws.delta_arrivals - ws.delta_exact));
+  f["retype_recommended"] = Value::Bool(typing::RetypeRecommended(
+      ws.delta_arrivals, ws.delta_arrivals - ws.delta_exact));
   return f;
 }
 
@@ -118,34 +119,43 @@ double Server::EffectiveTimeout(const Request& req) const {
   return req.timeout_s > 0 ? req.timeout_s : options_.default_timeout_s;
 }
 
+Response Server::Execute(const Request& req, Clock::time_point arrival,
+                         double timeout_s) {
+  Response resp;
+  resp.id = req.id;
+  const double queued_s = SecondsSince(arrival, Clock::now());
+  if (timeout_s > 0 && queued_s > timeout_s) {
+    resp.status = util::Status::DeadlineExceeded(util::StringPrintf(
+        "request spent %.3fs queued, budget %.3fs", queued_s, timeout_s));
+    return resp;
+  }
+  const Clock::time_point deadline =
+      timeout_s > 0 ? arrival + std::chrono::duration_cast<Clock::duration>(
+                                    std::chrono::duration<double>(timeout_s))
+                    : Clock::time_point::max();
+  auto result = Dispatch(req, deadline);
+  if (result.ok()) {
+    resp.result = *std::move(result);
+  } else {
+    resp.status = result.status();
+  }
+  return resp;
+}
+
+void Server::RecordOutcome(const Request& req, Clock::time_point arrival,
+                           const Response& resp) {
+  metrics_.Record(std::string(VerbToString(req.verb)),
+                  SecondsSince(arrival, Clock::now()) * 1e3, resp.status.ok(),
+                  resp.status.code() == util::StatusCode::kDeadlineExceeded);
+}
+
 void Server::HandleAsync(Request req, std::function<void(Response)> done) {
   const Clock::time_point arrival = Clock::now();
   const double timeout_s = EffectiveTimeout(req);
   pool_->Submit([this, req = std::move(req), done = std::move(done), arrival,
                  timeout_s]() {
-    Response resp;
-    resp.id = req.id;
-    const double queued_s = SecondsSince(arrival, Clock::now());
-    if (timeout_s > 0 && queued_s > timeout_s) {
-      resp.status = util::Status::DeadlineExceeded(util::StringPrintf(
-          "request spent %.3fs queued, budget %.3fs", queued_s, timeout_s));
-    } else {
-      const Clock::time_point deadline =
-          timeout_s > 0
-              ? arrival + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(timeout_s))
-              : Clock::time_point::max();
-      auto result = Dispatch(req, deadline);
-      if (result.ok()) {
-        resp.result = *std::move(result);
-      } else {
-        resp.status = result.status();
-      }
-    }
-    const double latency_ms = SecondsSince(arrival, Clock::now()) * 1e3;
-    metrics_.Record(
-        std::string(VerbToString(req.verb)), latency_ms, resp.status.ok(),
-        resp.status.code() == util::StatusCode::kDeadlineExceeded);
+    Response resp = Execute(req, arrival, timeout_s);
+    RecordOutcome(req, arrival, resp);
     done(resp);
   });
 }
@@ -166,31 +176,10 @@ Response Server::Handle(const Request& req) {
   std::future<Response> future = state->promise.get_future();
 
   pool_->Submit([this, req, state, arrival, timeout_s]() {
-    Response resp;
-    resp.id = req.id;
-    const double queued_s = SecondsSince(arrival, Clock::now());
-    if (timeout_s > 0 && queued_s > timeout_s) {
-      resp.status = util::Status::DeadlineExceeded(util::StringPrintf(
-          "request spent %.3fs queued, budget %.3fs", queued_s, timeout_s));
-    } else {
-      const Clock::time_point deadline =
-          timeout_s > 0
-              ? arrival + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(timeout_s))
-              : Clock::time_point::max();
-      auto result = Dispatch(req, deadline);
-      if (result.ok()) {
-        resp.result = *std::move(result);
-      } else {
-        resp.status = result.status();
-      }
-    }
+    Response resp = Execute(req, arrival, timeout_s);
     bool expected = false;
     if (state->delivered.compare_exchange_strong(expected, true)) {
-      const double latency_ms = SecondsSince(arrival, Clock::now()) * 1e3;
-      metrics_.Record(
-          std::string(VerbToString(req.verb)), latency_ms, resp.status.ok(),
-          resp.status.code() == util::StatusCode::kDeadlineExceeded);
+      RecordOutcome(req, arrival, resp);
       state->promise.set_value(std::move(resp));
     }
   });
@@ -343,13 +332,31 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
 
   SCHEMEX_ASSIGN_OR_RETURN(extract::ExtractionResult result,
                            extract::SchemaExtractor(opt).Run(g));
+  // The knee sweep (auto k only) runs before the extraction proper, so
+  // total_ms covers the two together.
+  SCHEMEX_ASSIGN_OR_RETURN(
+      Fields f,
+      CommitExtraction(p.workspace, *snapshot, result, opt, p.save_dir,
+                       sweep_ms));
+  f["auto_k"] = Value::Bool(auto_k);
+  if (auto_k) {
+    metrics_.Record("extract.sweep", sweep_ms, /*ok=*/true,
+                    /*timeout=*/false);
+  }
+  return Value::Object(std::move(f));
+}
 
+util::StatusOr<std::map<std::string, json::Value>> Server::CommitExtraction(
+    const std::string& name, const catalog::Workspace& base,
+    const extract::ExtractionResult& result,
+    const extract::ExtractorOptions& opt, const std::string& save_dir,
+    std::optional<double> sweep_ms) {
   // Share the graph (and any overlay): the new generation differs only
   // in its schema/assignment, so the swap is O(schema), not O(graph).
   // The extraction leaves a cache behind — the seed of a later
   // re_extract — and clears the mutation log: the new partition reflects
   // every delta applied so far, so the log is spent.
-  catalog::Workspace next = *snapshot;
+  catalog::Workspace next = base;
   next.program = result.final_program;
   next.assignment = result.recast.assignment;
   next.extraction_cache = std::make_shared<const extract::ExtractionCache>(
@@ -359,14 +366,13 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
   next.delta_exact = 0;
   SCHEMEX_RETURN_IF_ERROR(next.Validate());
 
-  if (!p.save_dir.empty()) {
-    SCHEMEX_RETURN_IF_ERROR(catalog::SaveWorkspace(next, p.save_dir));
+  if (!save_dir.empty()) {
+    SCHEMEX_RETURN_IF_ERROR(catalog::SaveWorkspace(next, save_dir));
   }
 
   std::map<std::string, Value> f;
-  f["workspace"] = Value::String(p.workspace);
-  f["k"] = JsonUint(chosen_k);
-  f["auto_k"] = Value::Bool(auto_k);
+  f["workspace"] = Value::String(name);
+  f["k"] = JsonUint(opt.target_num_types);
   f["num_perfect_types"] = JsonUint(result.num_perfect_types);
   f["num_final_types"] = JsonUint(result.num_final_types);
   {
@@ -386,19 +392,14 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
   {
     // Per-stage wall time, echoed in the response and folded into
     // per-stage histograms (extract.stage1, ...) surfaced via `stats`.
-    // The knee sweep (auto k only) runs before the extraction proper, so
-    // total_ms is the two together.
     std::map<std::string, Value> t;
-    t["sweep_ms"] = Value::Number(sweep_ms);
+    if (sweep_ms.has_value()) t["sweep_ms"] = Value::Number(*sweep_ms);
     t["stage1_ms"] = Value::Number(result.timings.stage1_ms);
     t["cluster_ms"] = Value::Number(result.timings.cluster_ms);
     t["recast_ms"] = Value::Number(result.timings.recast_ms);
-    t["total_ms"] = Value::Number(sweep_ms + result.timings.total_ms);
+    t["total_ms"] =
+        Value::Number(sweep_ms.value_or(0.0) + result.timings.total_ms);
     f["timings"] = Value::Object(std::move(t));
-    if (auto_k) {
-      metrics_.Record("extract.sweep", sweep_ms, /*ok=*/true,
-                      /*timeout=*/false);
-    }
     metrics_.Record("extract.stage1", result.timings.stage1_ms,
                     /*ok=*/true, /*timeout=*/false);
     metrics_.Record("extract.cluster", result.timings.cluster_ms,
@@ -406,10 +407,10 @@ util::StatusOr<json::Value> Server::HandleExtract(const ExtractParams& p,
     metrics_.Record("extract.recast", result.timings.recast_ms,
                     /*ok=*/true, /*timeout=*/false);
   }
-  if (!p.save_dir.empty()) f["saved_to"] = Value::String(p.save_dir);
+  if (!save_dir.empty()) f["saved_to"] = Value::String(save_dir);
 
-  PutWorkspace(p.workspace, std::move(next));
-  return Value::Object(std::move(f));
+  PutWorkspace(name, std::move(next));
+  return f;
 }
 
 util::StatusOr<json::Value> Server::HandleType(const TypeParams& p) {
@@ -665,22 +666,7 @@ util::StatusOr<json::Value> Server::HandleApplyDelta(const ApplyDeltaParams& p) 
     for (graph::ObjectId id : new_ids) {
       if (view.IsAtomic(id)) continue;
       ++arrivals;
-      bool fits = false;
-      for (size_t t = 0; t < snapshot->program.NumTypes(); ++t) {
-        typing::TypeId tid = static_cast<typing::TypeId>(t);
-        if (typing::SatisfiesUnderAssignment(
-                snapshot->program.type(tid).signature, view, tau, id)) {
-          tau.Assign(id, tid);
-          fits = true;
-        }
-      }
-      if (fits) {
-        ++exact;
-        continue;
-      }
-      typing::TypeId nearest =
-          typing::NearestType(snapshot->program, view, tau, id);
-      if (nearest != typing::kInvalidType) tau.Assign(id, nearest);
+      if (typing::TypeArrival(snapshot->program, view, &tau, id)) ++exact;
     }
   }
 
@@ -774,60 +760,17 @@ util::StatusOr<json::Value> Server::HandleReExtract(
   opt.recast = cache.options.recast;
   opt.target_num_types = chosen_k;
 
-  catalog::Workspace next = *snapshot;
-  next.program = result.final_program;
-  next.assignment = result.recast.assignment;
-  next.extraction_cache = std::make_shared<const extract::ExtractionCache>(
-      extract::MakeExtractionCache(result, opt));
-  next.mutation_log.clear();
-  next.delta_arrivals = 0;
-  next.delta_exact = 0;
-  SCHEMEX_RETURN_IF_ERROR(next.Validate());
-
-  if (!p.save_dir.empty()) {
-    SCHEMEX_RETURN_IF_ERROR(catalog::SaveWorkspace(next, p.save_dir));
-  }
+  SCHEMEX_ASSIGN_OR_RETURN(
+      Fields f,
+      CommitExtraction(p.workspace, *snapshot, result, opt, p.save_dir,
+                       std::nullopt));
+  f["generation"] = JsonUint(snapshot->generation);
 
   metrics_.AddCounter("delta.re_extracts", 1);
   if (rstats.incremental_stage1) {
     metrics_.AddCounter("delta.incremental_stage1", 1);
   }
   if (rstats.stage2_reused) metrics_.AddCounter("delta.stage2_reused", 1);
-
-  std::map<std::string, Value> f;
-  f["workspace"] = Value::String(p.workspace);
-  f["k"] = JsonUint(chosen_k);
-  f["generation"] = JsonUint(next.generation);
-  f["num_perfect_types"] = JsonUint(result.num_perfect_types);
-  f["num_final_types"] = JsonUint(result.num_final_types);
-  {
-    std::map<std::string, Value> d;
-    d["excess"] = JsonUint(result.defect.excess);
-    d["deficit"] = JsonUint(result.defect.deficit);
-    d["defect"] = JsonUint(result.defect.defect());
-    f["defect"] = Value::Object(std::move(d));
-  }
-  {
-    std::map<std::string, Value> r;
-    r["exact"] = JsonUint(result.recast.num_exact);
-    r["fallback"] = JsonUint(result.recast.num_fallback);
-    r["untyped"] = JsonUint(result.recast.num_untyped);
-    f["recast"] = Value::Object(std::move(r));
-  }
-  {
-    std::map<std::string, Value> t;
-    t["stage1_ms"] = Value::Number(result.timings.stage1_ms);
-    t["cluster_ms"] = Value::Number(result.timings.cluster_ms);
-    t["recast_ms"] = Value::Number(result.timings.recast_ms);
-    t["total_ms"] = Value::Number(result.timings.total_ms);
-    f["timings"] = Value::Object(std::move(t));
-    metrics_.Record("extract.stage1", result.timings.stage1_ms,
-                    /*ok=*/true, /*timeout=*/false);
-    metrics_.Record("extract.cluster", result.timings.cluster_ms,
-                    /*ok=*/true, /*timeout=*/false);
-    metrics_.Record("extract.recast", result.timings.recast_ms,
-                    /*ok=*/true, /*timeout=*/false);
-  }
   {
     std::map<std::string, Value> i;
     i["stage1_incremental"] = Value::Bool(rstats.incremental_stage1);
@@ -841,9 +784,6 @@ util::StatusOr<json::Value> Server::HandleReExtract(
     i["stage2_reused"] = Value::Bool(rstats.stage2_reused);
     f["incremental"] = Value::Object(std::move(i));
   }
-  if (!p.save_dir.empty()) f["saved_to"] = Value::String(p.save_dir);
-
-  PutWorkspace(p.workspace, std::move(next));
   return Value::Object(std::move(f));
 }
 

@@ -5,10 +5,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "catalog/workspace.h"
+#include "extract/extractor.h"
 #include "service/metrics.h"
 #include "service/request.h"
 #include "util/thread_annotations.h"
@@ -86,6 +88,16 @@ class Server {
   /// Resolves the effective budget for a request (0 = unlimited).
   double EffectiveTimeout(const Request& req) const;
 
+  /// The worker body of Handle and HandleAsync: fails a request that
+  /// out-waited its budget in the queue, else dispatches it under the
+  /// deadline that budget sets.
+  Response Execute(const Request& req, Clock::time_point arrival,
+                   double timeout_s);
+
+  /// Folds a finished request into its verb's latency histogram.
+  void RecordOutcome(const Request& req, Clock::time_point arrival,
+                     const Response& resp);
+
   /// Runs the verb handler (on a pool worker). `deadline` is the absolute
   /// point at which the request's budget expires (`Clock::time_point::max()`
   /// = unlimited); long-running handlers poll it cooperatively.
@@ -102,6 +114,18 @@ class Server {
   util::StatusOr<json::Value> HandleApplyDelta(const ApplyDeltaParams& p);
   util::StatusOr<json::Value> HandleReExtract(const ReExtractParams& p,
                                               Clock::time_point deadline);
+
+  /// The commit extract and re_extract share: swaps `result` in as
+  /// `name`'s schema over `base`'s graph (fresh extraction cache, mutation
+  /// log spent), after saving it to `save_dir` when set; records the
+  /// per-stage histograms and returns the response fields both verbs
+  /// report. `sweep_ms`, when set, is listed in the timings and counted
+  /// in total_ms.
+  util::StatusOr<std::map<std::string, json::Value>> CommitExtraction(
+      const std::string& name, const catalog::Workspace& base,
+      const extract::ExtractionResult& result,
+      const extract::ExtractorOptions& opt, const std::string& save_dir,
+      std::optional<double> sweep_ms);
 
   /// Snapshot of a cache entry (shared lock held only for the map read).
   util::StatusOr<WorkspacePtr> GetWorkspace(const std::string& name) const

@@ -86,39 +86,20 @@ size_t ComputeDeficit(const TypingProgram& program, graph::GraphView g,
   std::vector<graph::ObjectId> member = CanonicalMembers(program, tau);
   graph::ObjectId atomic_witness = SmallestAtomic(g);
 
+  auto in_type = [&tau](graph::ObjectId x, TypeId t) {
+    return tau.Has(x, t);
+  };
   std::set<EdgeFact> invented;
   for (graph::ObjectId o = 0; o < tau.NumObjects(); ++o) {
     for (TypeId t : tau.TypesOf(o)) {
       for (const TypedLink& l : program.type(t).signature.links()) {
-        bool witnessed = false;
-        if (l.dir == Direction::kOutgoing) {
-          for (const graph::HalfEdge& e : g.OutEdges(o)) {
-            if (e.label != l.label) continue;
-            if (l.target == kAtomicType ? g.IsAtomic(e.other)
-                                        : tau.Has(e.other, l.target)) {
-              witnessed = true;
-              break;
-            }
-          }
-          if (!witnessed) {
-            graph::ObjectId w = l.target == kAtomicType
-                                    ? atomic_witness
-                                    : member[static_cast<size_t>(l.target)];
-            invented.insert(EdgeFact{o, w, l.label});
-          }
-        } else {
-          for (const graph::HalfEdge& e : g.InEdges(o)) {
-            if (e.label != l.label) continue;
-            if (tau.Has(e.other, l.target)) {
-              witnessed = true;
-              break;
-            }
-          }
-          if (!witnessed) {
-            graph::ObjectId w = member[static_cast<size_t>(l.target)];
-            invented.insert(EdgeFact{w, o, l.label});
-          }
-        }
+        if (FindWitness(l, g, o, in_type) != graph::kInvalidObject) continue;
+        graph::ObjectId w = l.target == kAtomicType
+                                ? atomic_witness
+                                : member[static_cast<size_t>(l.target)];
+        invented.insert(l.dir == Direction::kOutgoing
+                            ? EdgeFact{o, w, l.label}
+                            : EdgeFact{w, o, l.label});
       }
     }
   }

@@ -14,25 +14,10 @@ util::StatusOr<MembershipExplanation> ExplainMembership(
   out.object = o;
   out.type = t;
   for (const TypedLink& l : program.type(t).signature.links()) {
-    graph::ObjectId witness = graph::kInvalidObject;
-    if (l.dir == Direction::kOutgoing) {
-      for (const graph::HalfEdge& e : g.OutEdges(o)) {
-        if (e.label != l.label) continue;
-        if (l.target == kAtomicType ? g.IsAtomic(e.other)
-                                    : m.Contains(l.target, e.other)) {
-          witness = e.other;
-          break;
-        }
-      }
-    } else {
-      for (const graph::HalfEdge& e : g.InEdges(o)) {
-        if (e.label != l.label) continue;
-        if (m.Contains(l.target, e.other)) {
-          witness = e.other;
-          break;
-        }
-      }
-    }
+    graph::ObjectId witness =
+        FindWitness(l, g, o, [&m](graph::ObjectId x, TypeId target) {
+          return m.Contains(target, x);
+        });
     if (witness == graph::kInvalidObject) {
       return util::Status::FailedPrecondition(util::StringPrintf(
           "object %u does not satisfy type %d (typed link without "

@@ -74,27 +74,11 @@ struct DependencyIndex {
 
 bool SatisfiesSignature(const TypeSignature& sig, graph::GraphView g,
                         const Extents& m, graph::ObjectId o) {
+  auto in_type = [&m](graph::ObjectId x, TypeId t) {
+    return m.Contains(t, x);
+  };
   for (const TypedLink& l : sig.links()) {
-    bool ok = false;
-    if (l.dir == Direction::kOutgoing) {
-      for (const graph::HalfEdge& e : g.OutEdges(o)) {
-        if (e.label != l.label) continue;
-        if (l.target == kAtomicType ? g.IsAtomic(e.other)
-                                    : m.Contains(l.target, e.other)) {
-          ok = true;
-          break;
-        }
-      }
-    } else {
-      for (const graph::HalfEdge& e : g.InEdges(o)) {
-        if (e.label != l.label) continue;
-        if (m.Contains(l.target, e.other)) {
-          ok = true;
-          break;
-        }
-      }
-    }
-    if (!ok) return false;
+    if (FindWitness(l, g, o, in_type) == graph::kInvalidObject) return false;
   }
   return true;
 }

@@ -57,6 +57,26 @@ util::StatusOr<Extents> ComputeGfp(const TypingProgram& program,
 /// pop always polls, so cancellation fires even on short worklists.
 inline constexpr size_t kGfpCancelPollInterval = 1024;
 
+/// The neighbor that witnesses typed link `l` for object `o`: the first,
+/// in edge order, across an `l.label` edge in direction `l.dir` that is
+/// atomic (for ->l^0) or for which `in_type(neighbor, l.target)` holds.
+/// kInvalidObject if there is none. `in_type` is the membership test:
+/// Extents::Contains for GFP semantics, TypeAssignment::Has for
+/// satisfaction under an assignment.
+template <typename InType>
+inline graph::ObjectId FindWitness(const TypedLink& l, graph::GraphView g,
+                                   graph::ObjectId o, const InType& in_type) {
+  for (const graph::HalfEdge& e :
+       l.dir == Direction::kOutgoing ? g.OutEdges(o) : g.InEdges(o)) {
+    if (e.label != l.label) continue;
+    if (l.target == kAtomicType ? g.IsAtomic(e.other)
+                                : in_type(e.other, l.target)) {
+      return e.other;
+    }
+  }
+  return graph::kInvalidObject;
+}
+
 /// True iff object `o` satisfies every typed link of `sig` under extents
 /// `m` (atomic targets checked against g's atomic objects).
 bool SatisfiesSignature(const TypeSignature& sig, graph::GraphView g,

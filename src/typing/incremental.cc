@@ -1,105 +1,40 @@
 #include "typing/incremental.h"
 
+#include "typing/gfp.h"
+#include "typing/recast.h"
+
 namespace schemex::typing {
 
 bool SatisfiesUnderAssignment(const TypeSignature& sig, graph::GraphView g,
                               const TypeAssignment& tau, graph::ObjectId o) {
+  auto in_type = [&tau](graph::ObjectId x, TypeId t) {
+    return tau.Has(x, t);
+  };
   for (const TypedLink& l : sig.links()) {
-    bool ok = false;
-    if (l.dir == Direction::kOutgoing) {
-      for (const graph::HalfEdge& e : g.OutEdges(o)) {
-        if (e.label != l.label) continue;
-        if (l.target == kAtomicType ? g.IsAtomic(e.other)
-                                    : tau.Has(e.other, l.target)) {
-          ok = true;
-          break;
-        }
-      }
-    } else {
-      for (const graph::HalfEdge& e : g.InEdges(o)) {
-        if (e.label != l.label) continue;
-        if (tau.Has(e.other, l.target)) {
-          ok = true;
-          break;
-        }
-      }
-    }
-    if (!ok) return false;
+    if (FindWitness(l, g, o, in_type) == graph::kInvalidObject) return false;
   }
   return true;
 }
 
-IncrementalTyper::IncrementalTyper(TypingProgram program,
-                                   graph::DataGraph base,
-                                   TypeAssignment assignment)
-    : program_(std::move(program)),
-      graph_(std::move(base)),
-      assignment_(std::move(assignment)),
-      index_(program_) {
-  assignment_.Resize(graph_.NumObjects());
-  type_encs_.resize(program_.NumTypes());
-  for (size_t t = 0; t < program_.NumTypes(); ++t) {
-    type_encs_[t] =
-        index_.EncodeFrozen(program_.type(static_cast<TypeId>(t)).signature);
-  }
-}
-
-util::StatusOr<IncrementalTyper::TypedObject> IncrementalTyper::AddAndType(
-    const NewObject& object) {
-  // Validate references before mutating anything.
-  for (const auto& [label, target] : object.refs) {
-    if (target >= graph_.NumObjects()) {
-      return util::Status::InvalidArgument("reference target out of range");
+bool TypeArrival(const TypingProgram& program, graph::GraphView g,
+                 TypeAssignment* tau, graph::ObjectId arrival) {
+  bool fits = false;
+  for (size_t t = 0; t < program.NumTypes(); ++t) {
+    auto tid = static_cast<TypeId>(t);
+    if (SatisfiesUnderAssignment(program.type(tid).signature, g, *tau,
+                                 arrival)) {
+      tau->Assign(arrival, tid);
+      fits = true;
     }
   }
-  TypedObject result;
-  result.id = graph_.AddComplex(object.name);
-  for (const auto& [label, value] : object.fields) {
-    graph::ObjectId atom = graph_.AddAtomic(value);
-    SCHEMEX_RETURN_IF_ERROR(graph_.AddEdge(result.id, atom, label));
-  }
-  for (const auto& [label, target] : object.refs) {
-    SCHEMEX_RETURN_IF_ERROR(graph_.AddEdge(result.id, target, label));
-  }
-  assignment_.Resize(graph_.NumObjects());
-
-  for (size_t t = 0; t < program_.NumTypes(); ++t) {
-    if (SatisfiesUnderAssignment(
-            program_.type(static_cast<TypeId>(t)).signature, graph_,
-            assignment_, result.id)) {
-      result.exact_types.push_back(static_cast<TypeId>(t));
-    }
-  }
-  ++num_added_;
-  if (!result.exact_types.empty()) {
-    ++num_exact_;
-    for (TypeId t : result.exact_types) assignment_.Assign(result.id, t);
-  } else if (program_.NumTypes() > 0) {
-    result.fallback_type =
-        NearestTypeIndexed(graph_, assignment_, result.id, index_, type_encs_,
-                           &result.fallback_distance);
-    assignment_.Assign(result.id, result.fallback_type);
-    total_fallback_distance_ += result.fallback_distance;
-  }
-  return result;
+  if (fits) return true;
+  TypeId nearest = NearestType(program, g, *tau, arrival);
+  if (nearest != kInvalidType) tau->Assign(arrival, nearest);
+  return false;
 }
 
-double IncrementalTyper::MeanFallbackDistance() const {
-  size_t fallbacks = num_fallback();
-  return fallbacks == 0 ? 0.0
-                        : static_cast<double>(total_fallback_distance_) /
-                              static_cast<double>(fallbacks);
-}
-
-bool IncrementalTyper::RetypeRecommended(double misfit_fraction,
-                                         size_t min_arrivals) const {
-  return RetypeRecommended(num_added_, num_fallback(), misfit_fraction,
-                           min_arrivals);
-}
-
-bool IncrementalTyper::RetypeRecommended(size_t num_added, size_t num_fallback,
-                                         double misfit_fraction,
-                                         size_t min_arrivals) {
+bool RetypeRecommended(size_t num_added, size_t num_fallback,
+                       double misfit_fraction, size_t min_arrivals) {
   if (num_added < min_arrivals) return false;
   return static_cast<double>(num_fallback) >
          misfit_fraction * static_cast<double>(num_added);

@@ -1,109 +1,41 @@
 #ifndef SCHEMEX_TYPING_INCREMENTAL_H_
 #define SCHEMEX_TYPING_INCREMENTAL_H_
 
-#include <string>
-#include <utility>
-#include <vector>
+#include <cstddef>
 
-#include "graph/data_graph.h"
 #include "graph/graph_view.h"
 #include "typing/assignment.h"
-#include "typing/bit_signature.h"
-#include "typing/recast.h"
+#include "typing/type_signature.h"
 #include "typing/typing_program.h"
-#include "util/statusor.h"
 
 namespace schemex::typing {
 
 /// Witness check under an assignment (not GFP extents): the §6 "assign
 /// the new objects to all types that it satisfies completely" test,
-/// where neighbors count through their *assigned* types. Shared by
-/// IncrementalTyper and the service's apply_delta online typing (which
-/// probes over a DeltaOverlay view instead of an owned DataGraph).
+/// where neighbors count through their *assigned* types.
 bool SatisfiesUnderAssignment(const TypeSignature& sig, graph::GraphView g,
                               const TypeAssignment& tau, graph::ObjectId o);
 
-/// Online typing of objects arriving after extraction (§6): "First we
+/// Online typing of one object arriving after extraction (§6): "First we
 /// assign the new objects to all types that it satisfies completely. If
 /// the object cannot be assigned any type precisely, then we assign it
-/// to the closest type, in terms of the simple distance function d. Of
-/// course, if we have many new objects we may wish to reconsider the
-/// current typing program."
+/// to the closest type, in terms of the simple distance function d."
 ///
-/// IncrementalTyper owns a growing copy of the database plus the frozen
-/// typing program, types each arrival by the rule above, and tracks how
-/// well arrivals fit so the caller can decide when re-extraction is due
-/// (the paper leaves "how many new objects is too many" open; we expose
-/// the misfit statistics and a simple threshold helper).
-class IncrementalTyper {
- public:
-  /// A new complex object: atomic fields (label -> value) plus references
-  /// to existing objects (label -> target id).
-  struct NewObject {
-    std::string name;
-    std::vector<std::pair<std::string, std::string>> fields;
-    std::vector<std::pair<std::string, graph::ObjectId>> refs;
-  };
+/// `arrival` must lie inside `tau`'s object space. It joins each type of
+/// `program` it satisfies under `*tau`, assigned as found in type order
+/// (so on a self-loop a later type's check already sees the earlier
+/// ones); failing all of them it gets NearestType. Returns whether the
+/// arrival fit exactly. An empty program leaves it untyped.
+bool TypeArrival(const TypingProgram& program, graph::GraphView g,
+                 TypeAssignment* tau, graph::ObjectId arrival);
 
-  struct TypedObject {
-    graph::ObjectId id = graph::kInvalidObject;
-    /// Types satisfied completely (empty if none).
-    std::vector<TypeId> exact_types;
-    /// Nearest type when exact_types is empty.
-    TypeId fallback_type = kInvalidType;
-    size_t fallback_distance = 0;
-  };
-
-  /// Takes ownership of a snapshot of the database and the Stage-3
-  /// assignment produced by extraction.
-  IncrementalTyper(TypingProgram program, graph::DataGraph base,
-                   TypeAssignment assignment);
-
-  /// Adds the object and its edges to the database, types it, updates the
-  /// assignment, and returns what happened. Reference targets must exist.
-  util::StatusOr<TypedObject> AddAndType(const NewObject& object);
-
-  size_t num_added() const { return num_added_; }
-  size_t num_exact() const { return num_exact_; }
-  size_t num_fallback() const { return num_added_ - num_exact_; }
-
-  /// Mean nearest-type distance over fallback arrivals (0 if none).
-  double MeanFallbackDistance() const;
-
-  /// True when more than `misfit_fraction` of (at least `min_arrivals`)
-  /// arrivals needed the distance fallback — the signal to re-run
-  /// extraction on the accumulated data.
-  bool RetypeRecommended(double misfit_fraction = 0.25,
-                         size_t min_arrivals = 10) const;
-
-  /// The same threshold rule over externally tracked counters, for
-  /// callers (the service's apply_delta path) that type arrivals without
-  /// owning an IncrementalTyper: true when more than `misfit_fraction`
-  /// of at least `min_arrivals` arrivals needed the distance fallback.
-  static bool RetypeRecommended(size_t num_added, size_t num_fallback,
-                                double misfit_fraction = 0.25,
-                                size_t min_arrivals = 10);
-
-  const graph::DataGraph& graph() const { return graph_; }
-  const TypeAssignment& assignment() const { return assignment_; }
-  const TypingProgram& program() const { return program_; }
-
- private:
-  TypingProgram program_;
-  graph::DataGraph graph_;
-  TypeAssignment assignment_;
-  /// Bit kernel over the frozen program, built once: arrivals probe the
-  /// nearest type repeatedly against the same signatures, so the sorted
-  /// vectors are packed up front (links outside the program universe —
-  /// e.g. fresh labels on arrivals — ride in EncodeFrozen extras).
-  BitSignatureIndex index_;
-  // OWNER: index_ (bit positions decode only against the index that
-  // assigned them; both are rebuilt together on Reset).
-  std::vector<BitSignature> type_encs_;
-  size_t num_added_ = 0;
-  size_t num_exact_ = 0;
-  size_t total_fallback_distance_ = 0;
-};
+/// The paper's "if we have many new objects we may wish to reconsider
+/// the current typing program", made concrete: true when more than
+/// `misfit_fraction` of at least `min_arrivals` arrivals needed the
+/// distance fallback.
+bool RetypeRecommended(size_t num_added, size_t num_fallback,
+                       double misfit_fraction = 0.25,
+                       size_t min_arrivals = 10);
 
 }  // namespace schemex::typing
 

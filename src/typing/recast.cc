@@ -40,24 +40,6 @@ TypeId NearestType(const TypingProgram& program, graph::GraphView g,
   return best;
 }
 
-TypeId NearestTypeIndexed(graph::GraphView g, const TypeAssignment& tau,
-                          graph::ObjectId o, const BitSignatureIndex& index,
-                          const std::vector<BitSignature>& type_encs,
-                          size_t* out_distance) {
-  BitSignature picture = index.EncodeFrozen(ObjectPicture(g, tau, o));
-  TypeId best = kInvalidType;
-  size_t best_d = 0;
-  for (size_t t = 0; t < type_encs.size(); ++t) {
-    size_t d = BitSignatureIndex::Distance(picture, type_encs[t]);
-    if (best == kInvalidType || d < best_d) {
-      best = static_cast<TypeId>(t);
-      best_d = d;
-    }
-  }
-  if (out_distance != nullptr) *out_distance = best_d;
-  return best;
-}
-
 util::StatusOr<RecastResult> Recast(
     const TypingProgram& program, graph::GraphView g,
     const std::vector<std::vector<TypeId>>& homes,
@@ -92,30 +74,19 @@ util::StatusOr<RecastResult> Recast(
   // straggler's picture sees the final types of every earlier straggler
   // (and, on a self-loop, not yet its own).
   const bool fallback = options.nearest_type_fallback && program.NumTypes() > 0;
-  std::vector<graph::ObjectId> stragglers;
   for (size_t i = 0; i < num_objects; ++i) {
     auto o = static_cast<graph::ObjectId>(i);
     if (!g.IsComplex(o)) continue;
     if (!result.assignment.TypesOf(o).empty()) continue;
-    if (fallback) {
-      stragglers.push_back(o);
-    } else {
+    if (!fallback) {
       ++result.num_untyped;
+      continue;
     }
-  }
-  if (stragglers.empty()) return result;
-
-  BitSignatureIndex index(program);
-  std::vector<BitSignature> type_encs(program.NumTypes());
-  for (size_t t = 0; t < program.NumTypes(); ++t) {
-    type_encs[t] =
-        index.EncodeFrozen(program.type(static_cast<TypeId>(t)).signature);
-  }
-  for (size_t i = 0; i < stragglers.size(); ++i) {
-    if (i % kGfpCancelPollInterval == 0) SCHEMEX_RETURN_IF_ERROR(exec.Poll());
-    graph::ObjectId o = stragglers[i];
-    result.assignment.Assign(
-        o, NearestTypeIndexed(g, result.assignment, o, index, type_encs));
+    if (result.num_fallback % kGfpCancelPollInterval == 0) {
+      SCHEMEX_RETURN_IF_ERROR(exec.Poll());
+    }
+    result.assignment.Assign(o,
+                             NearestType(program, g, result.assignment, o));
     ++result.num_fallback;
   }
   return result;

@@ -6,7 +6,6 @@
 
 #include "graph/graph_view.h"
 #include "typing/assignment.h"
-#include "typing/bit_signature.h"
 #include "typing/exec_options.h"
 #include "typing/gfp.h"
 #include "typing/typing_program.h"
@@ -68,18 +67,6 @@ TypeSignature ObjectPicture(graph::GraphView g,
 TypeId NearestType(const TypingProgram& program, graph::GraphView g,
                    const TypeAssignment& tau, graph::ObjectId o,
                    size_t* out_distance = nullptr);
-
-/// NearestType on the bit kernel: `index` spans (at least) the program's
-/// typed links and `type_encs` holds the program signatures encoded by it
-/// (one per type, in type order). Out-of-universe picture links are
-/// tallied via EncodeFrozen extras, so the result — including the
-/// tie-break toward the lowest type id — is identical to NearestType.
-/// Callers that probe repeatedly (the Recast fallback, IncrementalTyper)
-/// build the index once instead of re-merging sorted vectors per probe.
-TypeId NearestTypeIndexed(graph::GraphView g, const TypeAssignment& tau,
-                          graph::ObjectId o, const BitSignatureIndex& index,
-                          const std::vector<BitSignature>& type_encs,
-                          size_t* out_distance = nullptr);
 
 }  // namespace schemex::typing
 

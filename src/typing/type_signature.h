@@ -42,12 +42,11 @@ class TypeSignature {
   static TypeSignature Intersection(const TypeSignature& a,
                                     const TypeSignature& b);
 
-  /// |a Δ b| — the paper's simple Manhattan distance d(t1, t2) (§5.2).
-  /// This sorted-vector merge is the *reference* distance; k-center,
-  /// exhaustive search and Stage 3 use the bit-parallel kernel in
-  /// bit_signature.h (XOR + popcount over a typed-link universe), which
-  /// is property-tested to match this function exactly, and greedy
-  /// clustering merges sorted typed-link ids (cluster/greedy.cc).
+  /// |a Δ b| — the paper's simple Manhattan distance d(t1, t2) (§5.2),
+  /// by one merge of the two sorted link lists. The one d over whole rule
+  /// bodies: k-center, exhaustive search and Stage 3 call it; greedy
+  /// clustering merges sorted typed-link ids instead (cluster/greedy.cc),
+  /// since its bodies mutate in place.
   static size_t SymmetricDifferenceSize(const TypeSignature& a,
                                         const TypeSignature& b);
 

@@ -41,6 +41,19 @@ TEST(DistanceTest, ZeroDistanceIsFreeForAllKinds) {
   }
 }
 
+TEST(DistanceTest, ZeroDistanceIsFreeAndOverflowGoesToInfinity) {
+  // d = 0 must price at 0 for every kind; huge L^d must saturate to +inf
+  // (which still orders correctly in min-loops).
+  for (PsiKind kind : {PsiKind::kSimpleD, PsiKind::kPsi1, PsiKind::kPsi2,
+                       PsiKind::kPsi3, PsiKind::kPsi4, PsiKind::kPsi5}) {
+    EXPECT_EQ(WeightedDistance(kind, 3, 4, 0, 1000), 0.0)
+        << PsiKindName(kind);
+  }
+  double overflow = WeightedDistance(PsiKind::kPsi4, 1, 1, 5000, 1000);
+  EXPECT_TRUE(std::isinf(overflow));
+  EXPECT_GT(overflow, WeightedDistance(PsiKind::kPsi4, 1, 1, 1, 1000));
+}
+
 TEST(DistanceTest, WeightsClampedToOne) {
   // Zero/negative weights must not blow up ratio forms.
   EXPECT_TRUE(std::isfinite(WeightedDistance(PsiKind::kPsi1, 0, 0, 3, 10)));

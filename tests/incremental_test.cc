@@ -1,14 +1,47 @@
+// §6 online typing as the service runs it: arrivals are added to a
+// DeltaOverlay over a frozen base and typed one by one with TypeArrival.
+
+#include "typing/incremental.h"
+
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "extract/extractor.h"
 #include "gen/dbg.h"
+#include "graph/delta_overlay.h"
+#include "graph/frozen_graph.h"
 #include "tests/test_util.h"
-#include "typing/incremental.h"
+#include "typing/recast.h"
 
 namespace schemex::typing {
 namespace {
 
-/// A fixture with a 1-type schema: person = {->name^0, ->email^0}.
+using Fields = std::vector<std::pair<std::string, std::string>>;
+using Refs = std::vector<std::pair<std::string, graph::ObjectId>>;
+
+/// Adds a complex object with one atomic field per (label, value) and one
+/// edge per (label, target) reference, grows `tau` over it, and types it
+/// by the §6 rule. Returns the new id; `*exact` gets TypeArrival's result.
+graph::ObjectId AddAndType(graph::DeltaOverlay& ov, const TypingProgram& p,
+                           TypeAssignment& tau, const Fields& fields,
+                           const Refs& refs, bool* exact) {
+  graph::ObjectId id = ov.AddComplex();
+  for (const auto& [label, value] : fields) {
+    EXPECT_OK(ov.AddEdge(id, ov.AddAtomic(value), label));
+  }
+  for (const auto& [label, target] : refs) {
+    EXPECT_OK(ov.AddEdge(id, target, label));
+  }
+  tau.Resize(ov.NumObjects());
+  *exact = TypeArrival(p, ov, &tau, id);
+  return id;
+}
+
+/// A frozen base with one typed person and a 1-type schema:
+/// person = {->name^0, ->email^0}.
 class IncrementalFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -18,84 +51,82 @@ class IncrementalFixture : public ::testing::Test {
     ASSERT_OK(b.Edge("p1", "name", "n1"));
     ASSERT_OK(b.Edge("p1", "email", "e1"));
     util::Status st;
-    base_ = std::move(b).Build(&st);
+    graph::DataGraph base = std::move(b).Build(&st);
     ASSERT_OK(st);
-    name_ = base_.labels().Find("name");
-    email_ = base_.labels().Find("email");
+    graph::LabelId name = base.labels().Find("name");
+    graph::LabelId email = base.labels().Find("email");
     program_.AddType("person",
-                     TypeSignature::FromLinks({TypedLink::OutAtomic(name_),
-                                               TypedLink::OutAtomic(email_)}));
-    TypeAssignment tau(base_.NumObjects());
-    tau.Assign(0, 0);
-    typer_ = std::make_unique<IncrementalTyper>(program_, base_, tau);
+                     TypeSignature::FromLinks({TypedLink::OutAtomic(name),
+                                               TypedLink::OutAtomic(email)}));
+    overlay_ = std::make_unique<graph::DeltaOverlay>(graph::Freeze(base));
+    tau_ = TypeAssignment(base.NumObjects());
+    tau_.Assign(0, 0);
   }
 
-  graph::DataGraph base_;
-  graph::LabelId name_, email_;
+  graph::ObjectId Arrive(const Fields& fields, const Refs& refs,
+                         bool* exact) {
+    return AddAndType(*overlay_, program_, tau_, fields, refs, exact);
+  }
+
   TypingProgram program_;
-  std::unique_ptr<IncrementalTyper> typer_;
+  std::unique_ptr<graph::DeltaOverlay> overlay_;
+  TypeAssignment tau_;
 };
 
 TEST_F(IncrementalFixture, ExactFitAssignedDirectly) {
-  IncrementalTyper::NewObject rec;
-  rec.name = "p2";
-  rec.fields = {{"name", "grace"}, {"email", "grace@x"}};
-  ASSERT_OK_AND_ASSIGN(IncrementalTyper::TypedObject t,
-                       typer_->AddAndType(rec));
-  EXPECT_EQ(t.exact_types, (std::vector<TypeId>{0}));
-  EXPECT_EQ(typer_->num_exact(), 1u);
-  EXPECT_EQ(typer_->num_fallback(), 0u);
-  EXPECT_TRUE(typer_->assignment().Has(t.id, 0));
-  EXPECT_EQ(typer_->graph().NumComplexObjects(), 2u);
+  bool exact = false;
+  graph::ObjectId id =
+      Arrive({{"name", "grace"}, {"email", "grace@x"}}, {}, &exact);
+  EXPECT_TRUE(exact);
+  EXPECT_EQ(tau_.TypesOf(id), (std::vector<TypeId>{0}));
+  EXPECT_EQ(overlay_->NumComplexObjects(), 2u);
 }
 
 TEST_F(IncrementalFixture, MisfitFallsBackToNearest) {
-  IncrementalTyper::NewObject rec;
-  rec.name = "p3";
-  rec.fields = {{"name", "edsger"}};  // email missing
-  ASSERT_OK_AND_ASSIGN(IncrementalTyper::TypedObject t,
-                       typer_->AddAndType(rec));
-  EXPECT_TRUE(t.exact_types.empty());
-  EXPECT_EQ(t.fallback_type, 0);
-  EXPECT_EQ(t.fallback_distance, 1u);
-  EXPECT_EQ(typer_->num_fallback(), 1u);
-  EXPECT_DOUBLE_EQ(typer_->MeanFallbackDistance(), 1.0);
-  EXPECT_TRUE(typer_->assignment().Has(t.id, 0));
+  bool exact = true;
+  graph::ObjectId id = Arrive({{"name", "edsger"}}, {}, &exact);  // no email
+  EXPECT_FALSE(exact);
+  EXPECT_EQ(tau_.TypesOf(id), (std::vector<TypeId>{0}));
+  size_t d = 0;
+  EXPECT_EQ(NearestType(program_, *overlay_, tau_, id, &d), 0);
+  EXPECT_EQ(d, 1u);
 }
 
 TEST_F(IncrementalFixture, ReferencesToExistingObjects) {
-  IncrementalTyper::NewObject rec;
-  rec.name = "p4";
-  rec.fields = {{"name", "x"}, {"email", "x@x"}};
-  rec.refs = {{"friend", 0}};  // extra link — still an exact fit (GFP
-                               // semantics tolerates extra edges)
-  ASSERT_OK_AND_ASSIGN(IncrementalTyper::TypedObject t,
-                       typer_->AddAndType(rec));
-  EXPECT_EQ(t.exact_types.size(), 1u);
-  // Dangling reference rejected before mutation.
-  IncrementalTyper::NewObject bad;
-  bad.refs = {{"friend", 10'000}};
-  size_t before = typer_->graph().NumObjects();
-  EXPECT_FALSE(typer_->AddAndType(bad).ok());
-  EXPECT_EQ(typer_->graph().NumObjects(), before);
+  // An extra link is still an exact fit: GFP semantics tolerates extra
+  // edges.
+  bool exact = false;
+  graph::ObjectId id =
+      Arrive({{"name", "x"}, {"email", "x@x"}}, {{"friend", 0}}, &exact);
+  EXPECT_TRUE(exact);
+  EXPECT_EQ(tau_.TypesOf(id), (std::vector<TypeId>{0}));
+  // A dangling reference is rejected without touching the overlay.
+  const size_t edges = overlay_->NumEdges();
+  EXPECT_FALSE(overlay_->AddEdge(id, 10'000, "friend").ok());
+  EXPECT_EQ(overlay_->NumEdges(), edges);
 }
 
 TEST_F(IncrementalFixture, RetypeRecommendationThreshold) {
   // 8 exact arrivals, then misfits until the fraction crosses 25%.
+  size_t added = 0, fallback = 0;
+  bool exact = false;
   for (int i = 0; i < 8; ++i) {
-    IncrementalTyper::NewObject rec;
-    rec.fields = {{"name", "n"}, {"email", "e"}};
-    ASSERT_OK(typer_->AddAndType(rec).status());
+    Arrive({{"name", "n"}, {"email", "e"}}, {}, &exact);
+    ++added;
+    fallback += exact ? 0 : 1;
   }
-  EXPECT_FALSE(typer_->RetypeRecommended(0.25, 10));
+  EXPECT_EQ(fallback, 0u);
+  EXPECT_FALSE(RetypeRecommended(added, fallback, 0.25, 10));
   for (int i = 0; i < 4; ++i) {
-    IncrementalTyper::NewObject rec;
-    rec.fields = {{"nickname", "z"}};
-    ASSERT_OK(typer_->AddAndType(rec).status());
+    Arrive({{"nickname", "z"}}, {}, &exact);
+    ++added;
+    fallback += exact ? 0 : 1;
   }
   // 4 of 12 arrivals misfit (33% > 25%), and >= 10 arrivals seen.
-  EXPECT_TRUE(typer_->RetypeRecommended(0.25, 10));
-  EXPECT_FALSE(typer_->RetypeRecommended(0.50, 10));
+  EXPECT_EQ(fallback, 4u);
+  EXPECT_TRUE(RetypeRecommended(added, fallback, 0.25, 10));
+  EXPECT_FALSE(RetypeRecommended(added, fallback, 0.50, 10));
+  EXPECT_FALSE(RetypeRecommended(9, 9, 0.25, 10));  // too few arrivals
 }
 
 TEST(IncrementalTest, ChainedArrivalsSeeEachOther) {
@@ -109,31 +140,30 @@ TEST(IncrementalTest, ChainedArrivalsSeeEachOther) {
       "boss", TypeSignature::FromLinks({TypedLink::OutAtomic(name)}));
   TypeId worker = p.AddType(
       "worker", TypeSignature::FromLinks({TypedLink::Out(leader, boss)}));
-  IncrementalTyper typer(p, g, TypeAssignment(0));
+  graph::DeltaOverlay ov(graph::Freeze(g));
+  TypeAssignment tau;
 
-  IncrementalTyper::NewObject b;
-  b.name = "boss1";
-  b.fields = {{"name", "B"}};
-  ASSERT_OK_AND_ASSIGN(IncrementalTyper::TypedObject tb, typer.AddAndType(b));
-  ASSERT_EQ(tb.exact_types, (std::vector<TypeId>{boss}));
+  bool exact = false;
+  graph::ObjectId b = AddAndType(ov, p, tau, {{"name", "B"}}, {}, &exact);
+  ASSERT_TRUE(exact);
+  ASSERT_EQ(tau.TypesOf(b), (std::vector<TypeId>{boss}));
 
-  IncrementalTyper::NewObject w;
-  w.name = "worker1";
-  w.refs = {{"leader", tb.id}};
-  ASSERT_OK_AND_ASSIGN(IncrementalTyper::TypedObject tw, typer.AddAndType(w));
-  EXPECT_EQ(tw.exact_types, (std::vector<TypeId>{worker}));
+  graph::ObjectId w = AddAndType(ov, p, tau, {}, {{"leader", b}}, &exact);
+  EXPECT_TRUE(exact);
+  EXPECT_EQ(tau.TypesOf(w), (std::vector<TypeId>{worker}));
 }
 
 TEST(IncrementalTest, EndToEndWithExtractor) {
-  // Extract a 6-type DBG schema, then stream new publication-shaped
-  // objects at it.
+  // Extract a 6-type DBG schema, then stream a new publication-shaped
+  // object at it.
   auto g = gen::MakeDbgDataset();
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
   auto r = extract::SchemaExtractor(opt).Run(*g);
   ASSERT_TRUE(r.ok());
 
-  IncrementalTyper typer(r->final_program, *g, r->recast.assignment);
+  graph::DeltaOverlay ov(graph::Freeze(*g));
+  TypeAssignment tau = r->recast.assignment;
   // Find a db_person to author the new publication.
   graph::ObjectId person = graph::kInvalidObject;
   for (graph::ObjectId o = 0; o < g->NumObjects(); ++o) {
@@ -143,19 +173,18 @@ TEST(IncrementalTest, EndToEndWithExtractor) {
     }
   }
   ASSERT_NE(person, graph::kInvalidObject);
-  IncrementalTyper::NewObject pub;
-  pub.name = "new_pub";
-  pub.fields = {{"name", "Extracting Schema"},
-                {"conference", "SIGMOD"},
-                {"postscript", "p.ps"}};
-  pub.refs = {{"author", person}};
-  ASSERT_OK_AND_ASSIGN(IncrementalTyper::TypedObject t, typer.AddAndType(pub));
-  ASSERT_FALSE(t.exact_types.empty());
+  bool exact = false;
+  graph::ObjectId pub = AddAndType(ov, r->final_program, tau,
+                                   {{"name", "Extracting Schema"},
+                                    {"conference", "SIGMOD"},
+                                    {"postscript", "p.ps"}},
+                                   {{"author", person}}, &exact);
+  ASSERT_TRUE(exact);
   // It should land in the publication type: the one whose signature has
   // an ->author link.
   graph::LabelId author = g->labels().Find("author");
   bool in_publication_type = false;
-  for (TypeId tt : t.exact_types) {
+  for (TypeId tt : tau.TypesOf(pub)) {
     for (const TypedLink& l : r->final_program.type(tt).signature.links()) {
       if (l.label == author && l.dir == Direction::kOutgoing) {
         in_publication_type = true;

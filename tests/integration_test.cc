@@ -7,6 +7,8 @@
 #include "extract/extractor.h"
 #include "extract/knee.h"
 #include "gen/dbg.h"
+#include "graph/delta_overlay.h"
+#include "graph/frozen_graph.h"
 #include "json/import.h"
 #include "query/schema_guide.h"
 #include "tests/test_util.h"
@@ -88,15 +90,21 @@ TEST(IntegrationTest, SaveReloadThenTypeNewArrivals) {
   ASSERT_OK_AND_ASSIGN(typing::RecastResult recast,
                        typing::Recast(loaded, *g2, no_homes));
 
-  typing::IncrementalTyper typer(loaded, *g2, recast.assignment);
-  typing::IncrementalTyper::NewObject rec;
-  rec.name = "new_degree";
-  rec.fields = {{"major", "CS"}, {"school", "Stanford"},
-                {"name", "PhD"}, {"year", "1998"}};
-  ASSERT_OK_AND_ASSIGN(typing::IncrementalTyper::TypedObject typed,
-                       typer.AddAndType(rec));
-  EXPECT_FALSE(typed.exact_types.empty());
-  EXPECT_FALSE(typer.RetypeRecommended());
+  // Arrivals land in an overlay over the frozen data, as the service's
+  // apply_delta adds them.
+  graph::DeltaOverlay ov(graph::Freeze(*g2));
+  typing::TypeAssignment tau = recast.assignment;
+  graph::ObjectId id = ov.AddComplex("new_degree");
+  for (const auto& [label, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"major", "CS"}, {"school", "Stanford"},
+           {"name", "PhD"}, {"year", "1998"}}) {
+    ASSERT_OK(ov.AddEdge(id, ov.AddAtomic(value), label));
+  }
+  tau.Resize(ov.NumObjects());
+  EXPECT_TRUE(typing::TypeArrival(loaded, ov, &tau, id));
+  EXPECT_FALSE(tau.TypesOf(id).empty());
+  EXPECT_FALSE(typing::RetypeRecommended(/*num_added=*/1, /*num_fallback=*/0));
 }
 
 TEST(IntegrationTest, KneeDrivenExtractionThenQuery) {

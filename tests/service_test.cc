@@ -208,6 +208,67 @@ TEST_F(ServiceTest, ParallelismParamIsAcceptedAndIgnored) {
   EXPECT_EQ(runs[0], runs[1]);
 }
 
+TEST_F(ServiceTest, ApplyDeltaTypesArrivalsAndRejectsBadOps) {
+  // One typed person p1 under person = {->name^0, ->email^0}.
+  graph::GraphBuilder b;
+  ASSERT_OK(b.Atomic("n1", "ada"));
+  ASSERT_OK(b.Atomic("e1", "ada@x"));
+  ASSERT_OK(b.Edge("p1", "name", "n1"));
+  ASSERT_OK(b.Edge("p1", "email", "e1"));
+  const graph::ObjectId p1 = b.Find("p1");
+  util::Status st;
+  graph::DataGraph g = std::move(b).Build(&st);
+  ASSERT_OK(st);
+  catalog::Workspace ws;
+  ws.program.AddType(
+      "person", typing::TypeSignature::FromLinks(
+                    {typing::TypedLink::OutAtomic(g.labels().Find("name")),
+                     typing::TypedLink::OutAtomic(g.labels().Find("email"))}));
+  ws.assignment = typing::TypeAssignment(g.NumObjects());
+  ws.assignment.Assign(p1, 0);
+  ws.SetGraph(g);
+  Server server;
+  ASSERT_OK(server.InstallWorkspace("w", std::move(ws)));
+
+  // p2 (ids n..n+2) fits exactly; p3 (n+3, n+4) lacks an email.
+  auto id = [n = g.NumObjects()](size_t i) { return std::to_string(n + i); };
+  const std::string add = "{\"op\":\"add_object\",\"kind\":";
+  auto link = [](const std::string& from, const std::string& to,
+                 const std::string& label) {
+    return "{\"op\":\"add_link\",\"from\":" + from + ",\"to\":" + to +
+           ",\"label\":\"" + label + "\"}";
+  };
+  const std::string batch =
+      "[" + add + "\"complex\",\"name\":\"p2\"}," + add +
+      "\"atomic\",\"value\":\"grace\"}," + add +
+      "\"atomic\",\"value\":\"g@x\"}," + link(id(0), id(1), "name") + "," +
+      link(id(0), id(2), "email") + "," + add +
+      "\"complex\",\"name\":\"p3\"}," + add +
+      "\"atomic\",\"value\":\"edsger\"}," + link(id(3), id(4), "name") + "]";
+  auto resp = json::Parse(server.HandleJsonLine(
+      "{\"id\":1,\"verb\":\"apply_delta\",\"params\":{\"workspace\":\"w\","
+      "\"ops\":" + batch + "}}"));
+  ASSERT_TRUE(resp.ok());
+  ASSERT_TRUE(Field(*resp, "ok").AsBool()) << json::Serialize(*resp);
+  const Value& misfit = Field(Field(*resp, "result"), "misfit");
+  EXPECT_EQ(Field(misfit, "arrivals").AsNumber(), 2);
+  EXPECT_EQ(Field(misfit, "exact").AsNumber(), 1);
+  EXPECT_EQ(Field(misfit, "fallback").AsNumber(), 1);
+
+  // A bad op fails the whole batch, names its index, and leaves the
+  // workspace as it was.
+  const std::string list =
+      "{\"id\":2,\"verb\":\"list_workspaces\",\"params\":{}}";
+  const std::string before = server.HandleJsonLine(list);
+  const std::string bad = server.HandleJsonLine(
+      "{\"id\":3,\"verb\":\"apply_delta\",\"params\":{\"workspace\":\"w\","
+      "\"ops\":[" + add + "\"complex\",\"name\":\"p4\"}," +
+      link(id(0), "10000", "friend") + "]}}");
+  EXPECT_NE(bad.find("\"ok\":false"), std::string::npos) << bad;
+  EXPECT_NE(bad.find("ops[1]"), std::string::npos) << bad;
+  EXPECT_EQ(server.HandleJsonLine(list), before);
+}
+
 TEST_F(ServiceTest, TypeVerbWithInlineProgram) {
   Server server;
   catalog::Workspace ws;
