@@ -24,7 +24,7 @@ namespace {
 using namespace schemex;  // NOLINT
 
 void AddRow(util::TablePrinter* table, const std::string& name,
-            const graph::DataGraph& g, size_t intended) {
+            const graph::FrozenGraph& g, size_t intended) {
   auto guide = baseline::BuildStrongDataGuide(g, /*max_nodes=*/200000);
   std::string guide_nodes =
       guide.ok() ? util::StringPrintf("%zu", guide->NumNodes()) : "blow-up";
@@ -54,10 +54,11 @@ int Run() {
   for (const gen::Table1Entry& entry : gen::Table1Datasets()) {
     auto g = gen::MakeTable1Database(entry);
     if (!g.ok()) continue;
-    AddRow(&table, entry.db_name, *g, entry.intended_types);
+    AddRow(&table, entry.db_name, graph::FrozenGraph(*g),
+           entry.intended_types);
   }
   auto dbg = gen::MakeDbgDataset();
-  if (dbg.ok()) AddRow(&table, "DBG", *dbg, 6);
+  if (dbg.ok()) AddRow(&table, "DBG", graph::FrozenGraph(*dbg), 6);
   table.Print(std::cout);
   std::cout
       << "\nReading: DataGuide/RO (outgoing-path summaries) and the "

@@ -23,6 +23,7 @@ using namespace schemex;  // NOLINT
 
 int Run() {
   auto g = gen::MakeDbgDataset();
+  auto f = graph::Freeze(*g);
   if (!g.ok()) {
     std::cerr << g.status() << "\n";
     return 1;
@@ -30,7 +31,7 @@ int Run() {
   extract::ExtractorOptions opt;
   opt.stage1 = extract::ExtractorOptions::Stage1Algorithm::kGfp;
   opt.target_num_types = 6;
-  auto r = extract::SchemaExtractor(opt).Run(*g);
+  auto r = extract::SchemaExtractor(opt).Run(*f);
   if (!r.ok()) {
     std::cerr << r.status() << "\n";
     return 1;

@@ -20,6 +20,7 @@ using namespace schemex;  // NOLINT
 
 int Run() {
   auto g = gen::MakeDbgDataset();
+  auto f = graph::Freeze(*g);
   if (!g.ok()) {
     std::cerr << g.status() << "\n";
     return 1;
@@ -27,7 +28,7 @@ int Run() {
   extract::ExtractorOptions opt;
   opt.stage1 = extract::ExtractorOptions::Stage1Algorithm::kGfp;
   opt.psi = cluster::PsiKind::kPsi2;
-  auto points = extract::SensitivitySweep(*g, opt);
+  auto points = extract::SensitivitySweep(*f, opt);
   if (!points.ok()) {
     std::cerr << points.status() << "\n";
     return 1;

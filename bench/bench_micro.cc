@@ -45,7 +45,7 @@ graph::DataGraph MakeStructured(int scale) {
 }
 
 void BM_GfpSpecialized(benchmark::State& state) {
-  graph::DataGraph g = MakeStructured(static_cast<int>(state.range(0)));
+  const graph::FrozenGraph g(MakeStructured(static_cast<int>(state.range(0))));
   auto stage1 = typing::PerfectTypingViaRefinement(g);
   for (auto _ : state) {
     auto m = typing::ComputeGfp(stage1->program, g);
@@ -57,7 +57,7 @@ void BM_GfpSpecialized(benchmark::State& state) {
 BENCHMARK(BM_GfpSpecialized)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_GfpGenericDatalog(benchmark::State& state) {
-  graph::DataGraph g = MakeStructured(static_cast<int>(state.range(0)));
+  const graph::FrozenGraph g(MakeStructured(static_cast<int>(state.range(0))));
   auto stage1 = typing::PerfectTypingViaRefinement(g);
   datalog::Program p = stage1->program.ToDatalog();
   for (auto _ : state) {
@@ -70,7 +70,7 @@ void BM_GfpGenericDatalog(benchmark::State& state) {
 BENCHMARK(BM_GfpGenericDatalog)->Arg(1)->Arg(4);
 
 void BM_Stage1ViaGfp(benchmark::State& state) {
-  graph::DataGraph g = MakeStructured(static_cast<int>(state.range(0)));
+  const graph::FrozenGraph g(MakeStructured(static_cast<int>(state.range(0))));
   for (auto _ : state) {
     auto r = typing::PerfectTypingViaGfp(g);
     benchmark::DoNotOptimize(r);
@@ -79,7 +79,7 @@ void BM_Stage1ViaGfp(benchmark::State& state) {
 BENCHMARK(BM_Stage1ViaGfp)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_Stage1ViaRefinement(benchmark::State& state) {
-  graph::DataGraph g = MakeStructured(static_cast<int>(state.range(0)));
+  const graph::FrozenGraph g(MakeStructured(static_cast<int>(state.range(0))));
   for (auto _ : state) {
     auto r = typing::PerfectTypingViaRefinement(g);
     benchmark::DoNotOptimize(r);
@@ -95,7 +95,7 @@ void BM_Stage1RefinementRandom(benchmark::State& state) {
   opt.num_edges = opt.num_complex * 3;
   opt.num_labels = 8;
   opt.seed = 99;
-  graph::DataGraph g = gen::RandomGraph(opt);
+  const graph::FrozenGraph g(gen::RandomGraph(opt));
   for (auto _ : state) {
     auto r = typing::PerfectTypingViaRefinement(g);
     benchmark::DoNotOptimize(r);
@@ -104,13 +104,13 @@ void BM_Stage1RefinementRandom(benchmark::State& state) {
 BENCHMARK(BM_Stage1RefinementRandom)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_GreedyClustering(benchmark::State& state) {
-  graph::DataGraph g = gen::RandomGraph(gen::RandomGraphOptions{
+  const graph::FrozenGraph g(gen::RandomGraph(gen::RandomGraphOptions{
       .num_complex = static_cast<size_t>(state.range(0)),
       .num_atomic = static_cast<size_t>(state.range(0)),
       .num_edges = static_cast<size_t>(state.range(0)) * 2,
       .num_labels = 6,
       .atomic_target_fraction = 0.5,
-      .seed = 5});
+      .seed = 5}));
   auto stage1 = typing::PerfectTypingViaRefinement(g);
   cluster::ClusteringOptions copt;
   copt.target_num_types = 5;
@@ -125,11 +125,12 @@ BENCHMARK(BM_GreedyClustering)->Arg(50)->Arg(150)->Arg(400);
 
 void BM_FullPipelineDbg(benchmark::State& state) {
   auto g = gen::MakeDbgDataset();
+  auto f = graph::Freeze(*g);
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
   extract::SchemaExtractor ex(opt);
   for (auto _ : state) {
-    auto r = ex.Run(*g);
+    auto r = ex.Run(*f);
     benchmark::DoNotOptimize(r);
   }
 }
@@ -137,9 +138,10 @@ BENCHMARK(BM_FullPipelineDbg);
 
 void BM_SensitivitySweepDbg(benchmark::State& state) {
   auto g = gen::MakeDbgDataset();
+  auto f = graph::Freeze(*g);
   extract::ExtractorOptions opt;
   for (auto _ : state) {
-    auto pts = extract::SensitivitySweep(*g, opt);
+    auto pts = extract::SensitivitySweep(*f, opt);
     benchmark::DoNotOptimize(pts);
   }
 }
@@ -183,8 +185,9 @@ datalog::Program ReachProgram(graph::DataGraph* g) {
 }
 
 void BM_LfpNaiveChain(benchmark::State& state) {
-  graph::DataGraph g = MakeChain(static_cast<size_t>(state.range(0)));
-  datalog::Program p = ReachProgram(&g);
+  graph::DataGraph chain = MakeChain(static_cast<size_t>(state.range(0)));
+  datalog::Program p = ReachProgram(&chain);
+  const graph::FrozenGraph g(chain);
   datalog::EvalOptions opt;
   opt.fixpoint = datalog::FixpointKind::kLeast;
   for (auto _ : state) {
@@ -195,8 +198,9 @@ void BM_LfpNaiveChain(benchmark::State& state) {
 BENCHMARK(BM_LfpNaiveChain)->Arg(50)->Arg(200);
 
 void BM_LfpSemiNaiveChain(benchmark::State& state) {
-  graph::DataGraph g = MakeChain(static_cast<size_t>(state.range(0)));
-  datalog::Program p = ReachProgram(&g);
+  graph::DataGraph chain = MakeChain(static_cast<size_t>(state.range(0)));
+  datalog::Program p = ReachProgram(&chain);
+  const graph::FrozenGraph g(chain);
   datalog::EvalOptions opt;
   opt.fixpoint = datalog::FixpointKind::kLeast;
   opt.strategy = datalog::Strategy::kSemiNaive;
@@ -209,8 +213,9 @@ BENCHMARK(BM_LfpSemiNaiveChain)->Arg(50)->Arg(200)->Arg(1000);
 
 void BM_StrongDataGuideDbg(benchmark::State& state) {
   auto g = gen::MakeDbgDataset();
+  auto f = graph::Freeze(*g);
   for (auto _ : state) {
-    auto guide = baseline::BuildStrongDataGuide(*g);
+    auto guide = baseline::BuildStrongDataGuide(*f);
     benchmark::DoNotOptimize(guide);
   }
 }

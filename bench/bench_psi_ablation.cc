@@ -30,7 +30,7 @@ int Run() {
   for (PsiKind kind : kKinds) header.emplace_back(cluster::PsiKindName(kind));
   table.SetHeader(header);
 
-  auto add_dataset = [&](const std::string& name, const graph::DataGraph& g,
+  auto add_dataset = [&](const std::string& name, const graph::FrozenGraph& g,
                          size_t k) {
     std::vector<std::string> row = {name, util::StringPrintf("%zu", k)};
     for (PsiKind kind : kKinds) {
@@ -47,10 +47,12 @@ int Run() {
   for (const gen::Table1Entry& entry : gen::Table1Datasets()) {
     if (entry.perturbed) continue;  // unperturbed rows suffice here
     auto g = gen::MakeTable1Database(entry);
-    if (g.ok()) add_dataset(entry.db_name, *g, entry.intended_types);
+    if (g.ok()) {
+      add_dataset(entry.db_name, graph::FrozenGraph(*g), entry.intended_types);
+    }
   }
   auto dbg = gen::MakeDbgDataset();
-  if (dbg.ok()) add_dataset("DBG", *dbg, 6);
+  if (dbg.ok()) add_dataset("DBG", graph::FrozenGraph(*dbg), 6);
 
   table.Print(std::cout);
   std::cout << "\nReading: lower is better per row. psi2 = d*w2 (the "

@@ -30,7 +30,7 @@ graph::DataGraph MakeBigDbg() {
 }
 
 int Run() {
-  graph::DataGraph g = MakeBigDbg();
+  const graph::FrozenGraph g(MakeBigDbg());
   std::cout << util::StringPrintf(
       "== Schema-guided path queries (DBG x20: %zu objects, %zu links) ==\n",
       g.NumObjects(), g.NumEdges());

@@ -124,10 +124,11 @@ int Run(bool json, bool smoke) {
     for (auto& t : spec.types) t.count *= static_cast<size_t>(scale);
     auto g = gen::Generate(spec, 4242);
     if (!g.ok()) return 1;
+    auto f = graph::Freeze(*g);
 
     util::WallTimer total;
     util::WallTimer t1;
-    auto stage1 = typing::PerfectTypingViaHashRefinement(*g);
+    auto stage1 = typing::PerfectTypingViaHashRefinement(*f);
     double stage1_ms = t1.ElapsedMillis();
 
     util::WallTimer t2;
@@ -145,11 +146,11 @@ int Run(bool json, bool smoke) {
           clustering->final_map[static_cast<size_t>(stage1->home[o])];
       if (m != cluster::kEmptyType) homes[o] = {m};
     }
-    auto recast = typing::Recast(clustering->final_program, *g, homes);
-    auto defect = typing::ComputeDefect(clustering->final_program, *g,
+    auto recast = typing::Recast(clustering->final_program, *f, homes);
+    auto defect = typing::ComputeDefect(clustering->final_program, *f,
                                         recast->assignment);
     double recast_ms = t3.ElapsedMillis();
-    double apply_delta_ms = BenchApplyDelta(graph::Freeze(*g));
+    double apply_delta_ms = BenchApplyDelta(f);
 
     if (json) {
       PrintJsonPipelineRow(g->NumObjects(), g->NumEdges(),
@@ -184,8 +185,9 @@ int Run(bool json, bool smoke) {
       for (auto& t : spec.types) t.count *= static_cast<size_t>(scale);
       auto g = gen::Generate(spec, 4242);
       if (!g.ok()) return 1;
+      auto f = graph::Freeze(*g);
       util::WallTimer t1;
-      auto stage1 = typing::PerfectTypingViaHashRefinement(*g);
+      auto stage1 = typing::PerfectTypingViaHashRefinement(*f);
       double stage1_ms = t1.ElapsedMillis();
       if (json) {
         PrintJsonRow(g->NumObjects(), g->NumEdges(), stage1_ms);

@@ -33,19 +33,20 @@ namespace {
 
 catalog::Workspace MakeWorkspace(uint64_t seed) {
   auto g = gen::MakeDbgDataset(seed);
+  auto f = graph::Freeze(*g);
   if (!g.ok()) {
     std::fprintf(stderr, "gen: %s\n", g.status().ToString().c_str());
     std::exit(1);
   }
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
-  auto r = extract::SchemaExtractor(opt).Run(*g);
+  auto r = extract::SchemaExtractor(opt).Run(*f);
   if (!r.ok()) {
     std::fprintf(stderr, "extract: %s\n", r.status().ToString().c_str());
     std::exit(1);
   }
   catalog::Workspace ws;
-  ws.SetGraph(*g);
+  ws.graph = f;
   ws.program = r->final_program;
   ws.assignment = r->recast.assignment;
   return ws;

@@ -25,7 +25,7 @@ using typing::TypeId;
 
 /// Defect of a (program, stage1->final map) pair on g.
 util::StatusOr<size_t> MeasureDefect(
-    const graph::DataGraph& g, const typing::PerfectTypingResult& stage1,
+    const graph::FrozenGraph& g, const typing::PerfectTypingResult& stage1,
     const typing::TypingProgram& program,
     const std::vector<TypeId>& map) {
   std::vector<std::vector<TypeId>> homes(g.NumObjects());
@@ -47,7 +47,7 @@ int Run() {
 
   struct Workload {
     std::string name;
-    graph::DataGraph g;
+    graph::FrozenGraph g;
     size_t k;
   };
   std::vector<Workload> workloads;
@@ -67,12 +67,12 @@ int Run() {
     workloads.push_back(
         {util::StringPrintf("tiny-%llu",
                             static_cast<unsigned long long>(seed)),
-         std::move(g).value(), 2});
+         graph::FrozenGraph(*g), 2});
   }
   // DBG (exact infeasible; heuristics only).
   {
     auto g = gen::MakeDbgDataset();
-    workloads.push_back({"DBG", std::move(g).value(), 6});
+    workloads.push_back({"DBG", graph::FrozenGraph(*g), 6});
   }
 
   for (const Workload& w : workloads) {

@@ -33,6 +33,7 @@ int Run() {
   util::WallTimer timer;
   for (const gen::Table1Entry& entry : gen::Table1Datasets()) {
     auto g = gen::MakeTable1Database(entry);
+    auto f = graph::Freeze(*g);
     if (!g.ok()) {
       std::cerr << entry.db_name << ": " << g.status() << "\n";
       return 1;
@@ -40,7 +41,7 @@ int Run() {
     extract::ExtractorOptions opt;
     opt.target_num_types = entry.intended_types;
     opt.psi = cluster::PsiKind::kPsi2;  // the paper's weighted Manhattan
-    auto r = extract::SchemaExtractor(opt).Run(*g);
+    auto r = extract::SchemaExtractor(opt).Run(*f);
     if (!r.ok()) {
       std::cerr << entry.db_name << ": " << r.status() << "\n";
       return 1;

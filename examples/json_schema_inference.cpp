@@ -42,6 +42,7 @@ int main() {
   json::ImportOptions iopt;
   iopt.root_label = "person";
   auto g = json::ImportJson(kPeople, iopt);
+  auto f = graph::Freeze(*g);
   if (!g.ok()) {
     std::cerr << g.status() << "\n";
     return 1;
@@ -53,7 +54,7 @@ int main() {
   for (size_t k : {0, 4, 3}) {
     extract::ExtractorOptions opt;
     opt.target_num_types = k;  // 0 = perfect typing
-    auto r = extract::SchemaExtractor(opt).Run(*g);
+    auto r = extract::SchemaExtractor(opt).Run(*f);
     if (!r.ok()) {
       std::cerr << r.status() << "\n";
       return 1;
@@ -72,7 +73,7 @@ int main() {
   // schema using the paper's §6 rule (exact fit, else nearest by d).
   extract::ExtractorOptions opt;
   opt.target_num_types = 4;
-  auto r = extract::SchemaExtractor(opt).Run(*g);
+  auto r = extract::SchemaExtractor(opt).Run(*f);
 
   graph::DataGraph extended = *g;
   graph::ObjectId newbie = extended.AddComplex("newcomer");
@@ -81,8 +82,9 @@ int main() {
   (void)extended.AddEdge(newbie, extended.AddAtomic("apollo-agc"), "papers");
 
   size_t dist = 0;
-  typing::TypeId t = typing::NearestType(
-      r->final_program, extended, r->recast.assignment, newbie, &dist);
+  typing::TypeId t =
+      typing::NearestType(r->final_program, graph::FrozenGraph(extended),
+                          r->recast.assignment, newbie, &dist);
   std::cout << util::StringPrintf(
       "new record {name, email, papers} -> type %d ('%s'), distance %zu\n",
       t + 1, r->final_program.type(t).name.c_str(), dist);

@@ -34,7 +34,7 @@ int main() {
   attach("binoche", "movie", "Bleu");
   attach("binoche", "movie", "Damage");
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   if (!st.ok()) {
     std::cerr << st << "\n";
     return 1;

@@ -32,25 +32,28 @@ int main() {
   (void)builder.Edge("microsoft", "name", "msft_name");
   (void)builder.Edge("apple", "name", "aapl_name");
   util::Status st;
-  graph::DataGraph g = std::move(builder).Build(&st);
+  graph::DataGraph built = std::move(builder).Build(&st);
   if (!st.ok()) {
     std::cerr << "builder error: " << st << "\n";
     return 1;
   }
-  std::cout << "database:\n" << graph::ComputeStats(g).ToString(g) << "\n";
 
   // --- 2. Write a typing program by hand and evaluate its GFP. ---------
+  // Programs are parsed against the builder's label interner, then the
+  // database is frozen for reading.
   auto program = datalog::ParseProgram(R"(
     person(X) :- link(X, Y, "is-manager-of"), firm(Y),
                  link(X, Z, "name"), atomic(Z).
     firm(X)   :- link(X, Y, "is-managed-by"), person(Y),
                  link(X, Z, "name"), atomic(Z).
   )",
-                                       &g.labels());
+                                       &built.labels());
   if (!program.ok()) {
     std::cerr << program.status() << "\n";
     return 1;
   }
+  const graph::FrozenGraph g(built);
+  std::cout << "database:\n" << graph::ComputeStats(g).ToString(g) << "\n";
   auto gfp = datalog::Evaluate(*program, g);
   std::cout << "hand-written typing program:\n"
             << datalog::PrintProgram(*program, g.labels()) << "\nextents:\n";

@@ -36,7 +36,8 @@ int main() {
     return 1;
   }
   extract::ExtractorOptions perfect_only;
-  auto r1 = extract::SchemaExtractor(perfect_only).Run(*rel);
+  auto r1 =
+      extract::SchemaExtractor(perfect_only).Run(graph::FrozenGraph(*rel));
   std::cout << "relational part alone: " << r1->num_perfect_types
             << " perfect types (one per table), defect "
             << r1->defect.defect() << "\n"
@@ -73,19 +74,20 @@ int main() {
     }
   }
 
-  auto r2 = extract::SchemaExtractor(perfect_only).Run(g);
+  const graph::FrozenGraph integrated(g);
+  auto r2 = extract::SchemaExtractor(perfect_only).Run(integrated);
   std::cout << "after integration: " << r2->num_perfect_types
             << " perfect types (irregular pages shred the schema)\n\n";
 
   extract::ExtractorOptions approx;
   approx.target_num_types = 3;
-  auto r3 = extract::SchemaExtractor(approx).Run(g);
+  auto r3 = extract::SchemaExtractor(approx).Run(integrated);
   std::cout << "approximate typing with 3 types (defect "
             << r3->defect.defect() << "):\n"
             << r3->final_program.ToString(g.labels()) << "\n";
 
   // --- 3. Bonus: atomic sorts (Remark 2.1) on the integrated data. ------
-  graph::DataGraph refined = typing::RefineAtomicSorts(g);
+  const graph::FrozenGraph refined(typing::RefineAtomicSorts(integrated));
   auto r4 = extract::SchemaExtractor(approx).Run(refined);
   std::cout << "same, with atomic sorts refined (ages are ints, photos "
                "are strings, urls are urls):\n"

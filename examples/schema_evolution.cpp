@@ -33,8 +33,8 @@ int main() {
 
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
-  auto s1 = extract::SchemaExtractor(opt).Run(*crawl1);
-  auto s2 = extract::SchemaExtractor(opt).Run(crawl2);
+  auto s1 = extract::SchemaExtractor(opt).Run(graph::FrozenGraph(*crawl1));
+  auto s2 = extract::SchemaExtractor(opt).Run(graph::FrozenGraph(crawl2));
   if (!s1.ok() || !s2.ok()) {
     std::cerr << "extraction failed\n";
     return 1;
@@ -62,7 +62,7 @@ int main() {
   extract::SampleOptions sopt;
   sopt.sample_complex_objects = 800;
   sopt.extract.target_num_types = 6;
-  auto sampled = extract::ExtractFromSample(*big, sopt);
+  auto sampled = extract::ExtractFromSample(graph::FrozenGraph(*big), sopt);
   if (!sampled.ok()) {
     std::cerr << sampled.status() << "\n";
     return 1;

@@ -51,7 +51,7 @@ util::StatusOr<graph::DataGraph> LoadGraph(const std::string& path) {
   return graph::ReadGraph(text);
 }
 
-int Extract(const graph::DataGraph& g, size_t num_types) {
+int Extract(const graph::FrozenGraph& g, size_t num_types) {
   extract::ExtractorOptions opt;
   opt.target_num_types = num_types;
   auto r = extract::SchemaExtractor(opt).Run(g);
@@ -73,7 +73,8 @@ int Eval(graph::DataGraph& g, const std::string& program_text) {
     std::cerr << program.status() << "\n";
     return 1;
   }
-  auto m = datalog::Evaluate(*program, g);
+  const graph::FrozenGraph frozen(g);
+  auto m = datalog::Evaluate(*program, frozen);
   if (!m.ok()) {
     std::cerr << m.status() << "\n";
     return 1;
@@ -99,10 +100,10 @@ util::StatusOr<catalog::Workspace> ExtractWorkspace(graph::DataGraph g,
                                                     size_t num_types) {
   extract::ExtractorOptions opt;
   opt.target_num_types = num_types;
-  SCHEMEX_ASSIGN_OR_RETURN(extract::ExtractionResult r,
-                           extract::SchemaExtractor(opt).Run(g));
   catalog::Workspace ws;
   ws.SetGraph(g);
+  SCHEMEX_ASSIGN_OR_RETURN(extract::ExtractionResult r,
+                           extract::SchemaExtractor(opt).Run(*ws.graph));
   ws.program = std::move(r.final_program);
   ws.assignment = std::move(r.recast.assignment);
   return ws;
@@ -138,8 +139,9 @@ int Save(graph::DataGraph g, const std::string& dir, size_t num_types) {
 int Demo() {
   std::cout << "(no arguments: running the built-in demo)\n\n";
   auto g = gen::MakeDbgDataset();
-  std::cout << graph::ComputeStats(*g).ToString(*g) << "\n";
-  return Extract(*g, 6);
+  auto f = graph::Freeze(*g);
+  std::cout << graph::ComputeStats(*f).ToString(*f) << "\n";
+  return Extract(*f, 6);
 }
 
 }  // namespace
@@ -157,7 +159,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (mode == "stats") {
-    std::cout << graph::ComputeStats(*g).ToString(*g);
+    const graph::FrozenGraph f(*g);
+    std::cout << graph::ComputeStats(f).ToString(f);
     return 0;
   }
   if (mode == "extract") {
@@ -166,7 +169,7 @@ int main(int argc, char** argv) {
       std::cerr << "bad num-types\n";
       return 2;
     }
-    return Extract(*g, k);
+    return Extract(graph::FrozenGraph(*g), k);
   }
   if (mode == "report") {
     size_t k = 0;

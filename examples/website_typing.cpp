@@ -17,6 +17,7 @@ using namespace schemex;  // NOLINT
 
 int main() {
   auto g = gen::MakeDbgDataset();
+  auto f = graph::Freeze(*g);
   if (!g.ok()) {
     std::cerr << g.status() << "\n";
     return 1;
@@ -27,7 +28,7 @@ int main() {
   // Sweep k from the perfect typing down to 1 (single clustering run).
   extract::ExtractorOptions opt;
   opt.stage1 = extract::ExtractorOptions::Stage1Algorithm::kGfp;
-  auto points = extract::SensitivitySweep(*g, opt);
+  auto points = extract::SensitivitySweep(*f, opt);
   if (!points.ok()) {
     std::cerr << points.status() << "\n";
     return 1;
@@ -49,7 +50,7 @@ int main() {
 
   // Extract at the chosen size and show the program plus Stage-3 stats.
   opt.target_num_types = chosen_k;
-  auto r = extract::SchemaExtractor(opt).Run(*g);
+  auto r = extract::SchemaExtractor(opt).Run(*f);
   if (!r.ok()) {
     std::cerr << r.status() << "\n";
     return 1;

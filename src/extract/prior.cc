@@ -37,8 +37,8 @@ util::StatusOr<PriorExtractionResult> ExtractWithPrior(
   result.program = prior;
   if (!unclaimed.empty()) {
     std::vector<graph::ObjectId> old_to_new;
-    graph::DataGraph rest = graph::InducedSubgraph(g, unclaimed, {},
-                                                   &old_to_new);
+    const graph::FrozenGraph rest(
+        graph::InducedSubgraph(g, unclaimed, {}, &old_to_new));
     SchemaExtractor extractor(options);
     SCHEMEX_ASSIGN_OR_RETURN(ExtractionResult sub, extractor.Run(rest));
     result.num_new_types = sub.final_program.NumTypes();

@@ -24,12 +24,13 @@ util::StatusOr<SampledExtractionResult> ExtractFromSample(
       std::min(options.sample_complex_objects, complex_objects.size()));
   std::sort(picks.begin(), picks.end());
 
-  // Build the induced sample. InducedSubgraph shares g's label table, so
-  // the extracted program's label ids apply to the full graph directly.
+  // Build and freeze the induced sample. InducedSubgraph shares g's label
+  // table, so the extracted program's label ids apply to the full graph
+  // directly.
   std::vector<graph::ObjectId> kept;
   kept.reserve(picks.size());
   for (size_t idx : picks) kept.push_back(complex_objects[idx]);
-  graph::DataGraph sample = graph::InducedSubgraph(g, kept);
+  const graph::FrozenGraph sample(graph::InducedSubgraph(g, kept));
 
   // Extract on the sample.
   SchemaExtractor extractor(options.extract);

@@ -154,27 +154,6 @@ util::Status DataGraph::Validate() const {
   return util::Status::OK();
 }
 
-size_t DataGraph::MemoryUsage() const {
-  auto string_bytes = [](const std::string& s) {
-    // Small strings live inline in the object; only spilled buffers count
-    // extra heap.
-    return sizeof(std::string) + (s.capacity() > sizeof(std::string)
-                                      ? s.capacity()
-                                      : 0);
-  };
-  size_t bytes = kind_.capacity() * sizeof(Kind) +
-                 out_.capacity() * sizeof(std::vector<HalfEdge>) +
-                 in_.capacity() * sizeof(std::vector<HalfEdge>);
-  for (const std::string& v : value_) bytes += string_bytes(v);
-  for (const std::string& n : name_) bytes += string_bytes(n);
-  for (const auto& row : out_) bytes += row.capacity() * sizeof(HalfEdge);
-  for (const auto& row : in_) bytes += row.capacity() * sizeof(HalfEdge);
-  for (size_t l = 0; l < labels_.size(); ++l) {
-    bytes += string_bytes(labels_.Name(static_cast<LabelId>(l)));
-  }
-  return bytes;
-}
-
 bool DataGraph::IsBipartite() const {
   for (ObjectId o = 0; o < kind_.size(); ++o) {
     for (const HalfEdge& e : out_[o]) {

@@ -31,6 +31,11 @@ struct HalfEdge {
 /// The paper's model of semistructured data: a labeled directed graph given
 /// by relations link(From, To, Label) and atomic(Obj, Value).
 ///
+/// DataGraph is the builder: importers, generators and tests add objects
+/// and edges here, then freeze it (graph::Freeze, graph/frozen_graph.h)
+/// before any algorithm reads it. Its own reads serve the freeze, the
+/// builders' bookkeeping and the tests that pin FrozenGraph against it.
+///
 /// Invariants enforced by the mutating API (paper §2):
 ///  * atomic objects have no outgoing edges (link/atomic first projections
 ///    are disjoint);
@@ -122,11 +127,6 @@ class DataGraph {
   /// True iff every edge goes from a complex object to an atomic object
   /// (the paper's "bipartite" special case, §5.2).
   bool IsBipartite() const;
-
-  /// Approximate heap bytes held by this graph (adjacency vectors,
-  /// per-object strings, label table). Comparable to
-  /// FrozenGraph::MemoryUsage().
-  size_t MemoryUsage() const;
 
  private:
   enum class Kind : uint8_t { kComplex, kAtomic };

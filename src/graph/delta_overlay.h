@@ -23,11 +23,11 @@ namespace schemex::graph {
 /// new objects (complex or atomic) appended after the base id space, a
 /// private copy of the label interner (base labels keep their ids; fresh
 /// labels extend the table), and — for every object whose adjacency the
-/// delta touches — a fully materialized merged row. Reads go through the
-/// same surface as DataGraph/FrozenGraph, so GraphView (and with it the
-/// whole typing/cluster/extract pipeline) works over an overlay without
-/// knowing it exists: untouched objects answer straight from the base
-/// CSR slices, touched objects from their materialized rows.
+/// delta touches — a fully materialized merged row. The overlay is one of
+/// GraphView's two read shapes (the other is FrozenGraph), so the whole
+/// typing/cluster/extract pipeline works over an overlay without knowing
+/// it exists: untouched objects answer straight from the base CSR
+/// slices, touched objects from their materialized rows.
 ///
 /// Mutation semantics mirror DataGraph exactly (same Status codes, same
 /// invariants: atomic objects are sinks, one edge per (from, to, label),

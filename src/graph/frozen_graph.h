@@ -39,7 +39,9 @@ namespace schemex::graph {
 /// workspace generations holding the same graph report the same id.
 ///
 /// The read API mirrors DataGraph's, with string_view in place of
-/// const string&; GraphView (graph/graph_view.h) abstracts over both.
+/// const string&. A DataGraph is a builder only: it is frozen before
+/// anything reads it, and GraphView (graph/graph_view.h) wraps the two
+/// read shapes, a FrozenGraph or a DeltaOverlay over one.
 class FrozenGraph {
  public:
   FrozenGraph() = default;

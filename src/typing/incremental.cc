@@ -1,29 +1,43 @@
 #include "typing/incremental.h"
 
+#include <vector>
+
 #include "typing/gfp.h"
 #include "typing/recast.h"
 
 namespace schemex::typing {
 
-bool SatisfiesUnderAssignment(const TypeSignature& sig, graph::GraphView g,
-                              const TypeAssignment& tau, graph::ObjectId o) {
-  auto in_type = [&tau](graph::ObjectId x, TypeId t) {
-    return tau.Has(x, t);
-  };
-  for (const TypedLink& l : sig.links()) {
-    if (FindWitness(l, g, o, in_type) == graph::kInvalidObject) return false;
-  }
-  return true;
-}
-
 bool TypeArrival(const TypingProgram& program, graph::GraphView g,
                  TypeAssignment* tau, graph::ObjectId arrival) {
+  // Greatest fixpoint restricted to the arrival: start from every type and
+  // drop each one whose signature fails until none does. Other objects
+  // count through their types in *tau; the arrival itself (reached only
+  // through self-loops) counts through the surviving candidates.
+  std::vector<bool> candidate(program.NumTypes(), true);
+  auto in_type = [&](graph::ObjectId x, TypeId t) {
+    return x == arrival ? candidate[static_cast<size_t>(t)] : tau->Has(x, t);
+  };
+  auto satisfies = [&](TypeId t) {
+    for (const TypedLink& l : program.type(t).signature.links()) {
+      if (FindWitness(l, g, arrival, in_type) == graph::kInvalidObject) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (bool dropped = true; dropped;) {
+    dropped = false;
+    for (size_t t = 0; t < candidate.size(); ++t) {
+      if (candidate[t] && !satisfies(static_cast<TypeId>(t))) {
+        candidate[t] = false;
+        dropped = true;
+      }
+    }
+  }
   bool fits = false;
-  for (size_t t = 0; t < program.NumTypes(); ++t) {
-    auto tid = static_cast<TypeId>(t);
-    if (SatisfiesUnderAssignment(program.type(tid).signature, g, *tau,
-                                 arrival)) {
-      tau->Assign(arrival, tid);
+  for (size_t t = 0; t < candidate.size(); ++t) {
+    if (candidate[t]) {
+      tau->Assign(arrival, static_cast<TypeId>(t));
       fits = true;
     }
   }

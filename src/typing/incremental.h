@@ -5,27 +5,22 @@
 
 #include "graph/graph_view.h"
 #include "typing/assignment.h"
-#include "typing/type_signature.h"
 #include "typing/typing_program.h"
 
 namespace schemex::typing {
-
-/// Witness check under an assignment (not GFP extents): the §6 "assign
-/// the new objects to all types that it satisfies completely" test,
-/// where neighbors count through their *assigned* types.
-bool SatisfiesUnderAssignment(const TypeSignature& sig, graph::GraphView g,
-                              const TypeAssignment& tau, graph::ObjectId o);
 
 /// Online typing of one object arriving after extraction (§6): "First we
 /// assign the new objects to all types that it satisfies completely. If
 /// the object cannot be assigned any type precisely, then we assign it
 /// to the closest type, in terms of the simple distance function d."
 ///
-/// `arrival` must lie inside `tau`'s object space. It joins each type of
-/// `program` it satisfies under `*tau`, assigned as found in type order
-/// (so on a self-loop a later type's check already sees the earlier
-/// ones); failing all of them it gets NearestType. Returns whether the
-/// arrival fit exactly. An empty program leaves it untyped.
+/// `arrival` must lie inside `tau`'s object space. It joins every type of
+/// the greatest fixpoint restricted to it: the largest set S of types it
+/// satisfies when every other object counts through its types in `*tau`
+/// and the arrival itself (seen only through self-loops) counts as a
+/// member of exactly S. The result does not depend on the order of the
+/// program's types. Failing all of them it gets NearestType. Returns
+/// whether the arrival fit exactly. An empty program leaves it untyped.
 bool TypeArrival(const TypingProgram& program, graph::GraphView g,
                  TypeAssignment* tau, graph::ObjectId arrival);
 

@@ -39,10 +39,10 @@ TEST(RefineAtomicSortsTest, RelabelsOnlyAtomicEdges) {
   ASSERT_OK(b.Edge("p", "name", "name_v"));
   ASSERT_OK(b.Edge("p", "knows", "q"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   ASSERT_OK(st);
 
-  graph::DataGraph refined = RefineAtomicSorts(g);
+  const graph::FrozenGraph refined(RefineAtomicSorts(g));
   ASSERT_OK(refined.Validate());
   EXPECT_EQ(refined.NumObjects(), g.NumObjects());
   EXPECT_EQ(refined.NumEdges(), g.NumEdges());
@@ -67,13 +67,13 @@ TEST(RefineAtomicSortsTest, SplitsTypesByValueSort) {
   ASSERT_OK(b.Edge("x", "id", "v1"));
   ASSERT_OK(b.Edge("y", "id", "v2"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   ASSERT_OK(st);
 
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult plain, PerfectTypingViaGfp(g));
   EXPECT_EQ(plain.program.NumTypes(), 1u);
 
-  graph::DataGraph refined = RefineAtomicSorts(g);
+  const graph::FrozenGraph refined(RefineAtomicSorts(g));
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult sorted,
                        PerfectTypingViaGfp(refined));
   EXPECT_EQ(sorted.program.NumTypes(), 2u);
@@ -84,7 +84,7 @@ TEST(RefineAtomicSortsTest, CustomClassifier) {
   ASSERT_OK(b.Atomic("v", "whatever"));
   ASSERT_OK(b.Edge("x", "f", "v"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   ASSERT_OK(st);
   graph::DataGraph refined =
       RefineAtomicSorts(g, [](std::string_view) { return "blob"; });
@@ -107,14 +107,15 @@ TEST(RefineByValueEnumTest, MaleFemaleExample) {
   person("bob", "Male");
   person("carol", "Female");
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   ASSERT_OK(st);
 
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult plain, PerfectTypingViaGfp(g));
   EXPECT_EQ(plain.program.NumTypes(), 1u);
 
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph refined,
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph refined_built,
                        RefineByValueEnum(g, "sex"));
+  const graph::FrozenGraph refined(refined_built);
   EXPECT_NE(refined.labels().Find("sex=Male"), graph::kInvalidLabel);
   EXPECT_NE(refined.labels().Find("sex=Female"), graph::kInvalidLabel);
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult split,
@@ -130,7 +131,7 @@ TEST(RefineByValueEnumTest, GuardsAndErrors) {
     ASSERT_OK(b.Edge("x" + std::to_string(i), "f", v));
   }
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   ASSERT_OK(st);
   EXPECT_EQ(RefineByValueEnum(g, "nope").status().code(),
             util::StatusCode::kNotFound);

@@ -16,7 +16,7 @@ TEST(DataGuideTest, LinearChain) {
   ASSERT_OK(b.Edge("x", "a", "y"));
   ASSERT_OK(b.Edge("y", "b", "leaf"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   ASSERT_OK(st);
   ASSERT_OK_AND_ASSIGN(DataGuide guide, BuildStrongDataGuide(g));
   EXPECT_EQ(guide.NumNodes(), 3u);  // {x}, {y}, {leaf}
@@ -36,7 +36,7 @@ TEST(DataGuideTest, SharedTargetsCollapse) {
   ASSERT_OK(b.Edge("p1", "c", "kid"));
   ASSERT_OK(b.Edge("p2", "c", "kid"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   ASSERT_OK(st);
   ASSERT_OK_AND_ASSIGN(DataGuide guide, BuildStrongDataGuide(g));
   // Root targets {p1, p2}; its c-child targets {kid}.
@@ -53,7 +53,7 @@ TEST(DataGuideTest, PowersetSplit) {
   ASSERT_OK(b.Edge("p2", "a", "y"));
   ASSERT_OK(b.Edge("p1", "b", "x"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   ASSERT_OK(st);
   ASSERT_OK_AND_ASSIGN(DataGuide guide, BuildStrongDataGuide(g));
   EXPECT_EQ(guide.Lookup(g, {"a"}).size(), 2u);
@@ -65,7 +65,7 @@ TEST(DataGuideTest, CyclicGraphTerminates) {
   ASSERT_OK(b.Edge("p", "next", "q"));
   ASSERT_OK(b.Edge("q", "next", "p"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   ASSERT_OK(st);
   // No sources: the virtual root's target set is {p, q}; following `next`
   // maps {p, q} back to itself, so the guide is a single self-looping
@@ -77,14 +77,16 @@ TEST(DataGuideTest, CyclicGraphTerminates) {
 }
 
 TEST(DataGuideTest, NodeBudgetEnforced) {
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::MakeDbgDataset());
+  const graph::FrozenGraph g(built);
   util::StatusOr<DataGuide> guide = BuildStrongDataGuide(g, /*max_nodes=*/3);
   EXPECT_FALSE(guide.ok());
   EXPECT_EQ(guide.status().code(), util::StatusCode::kFailedPrecondition);
 }
 
 TEST(DataGuideTest, DbgGuideBuilds) {
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::MakeDbgDataset());
+  const graph::FrozenGraph g(built);
   ASSERT_OK_AND_ASSIGN(DataGuide guide, BuildStrongDataGuide(g));
   EXPECT_GT(guide.NumNodes(), 6u);
   // Guide lookups follow real paths.
@@ -92,7 +94,7 @@ TEST(DataGuideTest, DbgGuideBuilds) {
 }
 
 TEST(RepObjectsTest, DegreeZeroIsOneClass) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   size_t classes = 0;
   auto block = DegreeKClasses(g, 0, &classes);
   EXPECT_EQ(classes, 1u);
@@ -106,7 +108,8 @@ TEST(RepObjectsTest, DegreeZeroIsOneClass) {
 }
 
 TEST(RepObjectsTest, RefinementIsMonotoneInK) {
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::MakeDbgDataset());
+  const graph::FrozenGraph g(built);
   size_t prev = 0;
   for (size_t k = 0; k <= 5; ++k) {
     size_t classes = 0;
@@ -122,7 +125,8 @@ TEST(RepObjectsTest, RefinementIsMonotoneInK) {
 TEST(RepObjectsTest, OutgoingOnlyIsCoarserThanStage1) {
   // Stage 1 refines on incoming AND outgoing edges, so its partition is
   // at least as fine as the (converged) outgoing-only one.
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::MakeDbgDataset());
+  const graph::FrozenGraph g(built);
   size_t ro = FullRepObjectClassCount(g);
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
@@ -130,7 +134,7 @@ TEST(RepObjectsTest, OutgoingOnlyIsCoarserThanStage1) {
 }
 
 TEST(RepObjectsTest, DistinguishesByOutgoingLabelSets) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   size_t classes = 0;
   auto block = DegreeKClasses(g, 1, &classes);
   // o1 {a}, o2/o3/o4 {b} or {b, c}: three classes after one round.

@@ -32,13 +32,14 @@ class CatalogTest : public ::testing::Test {
 
 TEST_F(CatalogTest, SaveLoadRoundTrip) {
   auto g = gen::MakeDbgDataset(3);
+  auto f = graph::Freeze(*g);
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
-  auto r = extract::SchemaExtractor(opt).Run(*g);
+  auto r = extract::SchemaExtractor(opt).Run(*f);
   ASSERT_TRUE(r.ok());
 
   Workspace ws;
-  ws.SetGraph(*g);
+  ws.graph = f;
   ws.program = r->final_program;
   ws.assignment = r->recast.assignment;
   ASSERT_OK(SaveWorkspace(ws, dir_.string()));
@@ -58,7 +59,7 @@ TEST_F(CatalogTest, SaveLoadRoundTrip) {
   // The reloaded program types the reloaded graph the way the original
   // typed the original (extent sizes).
   ASSERT_OK_AND_ASSIGN(typing::Extents m1,
-                       typing::ComputeGfp(r->final_program, *g));
+                       typing::ComputeGfp(r->final_program, *f));
   ASSERT_OK_AND_ASSIGN(typing::Extents m2,
                        typing::ComputeGfp(back.program, *back.graph));
   for (size_t t = 0; t < m1.per_type.size(); ++t) {

@@ -107,10 +107,11 @@ TEST(AstTest, NonRecursiveProgramDetected) {
 class Figure2Eval : public ::testing::Test {
  protected:
   void SetUp() override {
-    g_ = test::MakeFigure2Database();
-    auto parsed = ParseProgram(kFigure2Program, &g_.labels());
+    graph::DataGraph g = test::MakeFigure2Database();
+    auto parsed = ParseProgram(kFigure2Program, &g.labels());
     ASSERT_TRUE(parsed.ok()) << parsed.status();
     p_ = std::move(parsed).value();
+    g_ = graph::FrozenGraph(g);
   }
 
   graph::ObjectId Obj(const char* name) {
@@ -120,7 +121,7 @@ class Figure2Eval : public ::testing::Test {
     return graph::kInvalidObject;
   }
 
-  graph::DataGraph g_;
+  graph::FrozenGraph g_;
   Program p_;
 };
 
@@ -152,7 +153,8 @@ TEST_F(Figure2Eval, LeastFixpointFailsToClassify) {
 
 TEST_F(Figure2Eval, NonRecursiveLfpEqualsGfp) {
   // §2: for non-recursive programs the two fixpoints coincide.
-  graph::LabelInterner& labels = g_.labels();
+  // A copy of the frozen (immutable) label table: `name` keeps its id.
+  graph::LabelInterner labels = g_.labels();
   ASSERT_OK_AND_ASSIGN(
       Program p,
       ParseProgram("named(X) :- link(X, Y, name), atomic(Y).", &labels));
@@ -182,13 +184,13 @@ TEST_F(Figure2Eval, MaxIterationsStopsEarly) {
 }
 
 TEST(EvaluatorTest, RuleSatisfiedDirectly) {
-  graph::DataGraph g = test::MakeFigure2Database();
-  graph::LabelInterner& labels = g.labels();
+  graph::DataGraph built = test::MakeFigure2Database();
   ASSERT_OK_AND_ASSIGN(
       Program p,
       ParseProgram("boss(X) :- link(X, Y, "
                    "\"is-manager-of\"), link(Y, X, \"is-managed-by\").",
-                   &labels));
+                   &built.labels()));
+  const graph::FrozenGraph g(built);
   Interpretation m;
   m.extents.assign(1, util::DenseBitset(g.NumObjects()));
   graph::ObjectId gates = 0;  // first object added
@@ -209,13 +211,14 @@ TEST(EvaluatorTest, ValueJoinAcrossAtomicAtoms) {
   ASSERT_OK(b.Edge("y", "u", "p"));
   ASSERT_OK(b.Edge("y", "v", "r"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  graph::DataGraph built = std::move(b).Build(&st);
   ASSERT_OK(st);
   ASSERT_OK_AND_ASSIGN(
       Program p,
       ParseProgram("twin(X) :- link(X, Y, u), atomic(Y, V), "
                    "link(X, Z, v), atomic(Z, V).",
-                   &g.labels()));
+                   &built.labels()));
+  const graph::FrozenGraph g(built);
   ASSERT_OK_AND_ASSIGN(Interpretation m, Evaluate(p, g));
   EXPECT_EQ(m.extents[0].Count(), 1u);
   graph::ObjectId x = graph::kInvalidObject;
@@ -226,7 +229,7 @@ TEST(EvaluatorTest, ValueJoinAcrossAtomicAtoms) {
 }
 
 TEST(EvaluatorTest, EmptyBodyMatchesAllComplexObjects) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   Program p;
   PredId any = p.AddPred("any");
   p.rules.push_back(Rule{any, 1, {}});
@@ -235,12 +238,13 @@ TEST(EvaluatorTest, EmptyBodyMatchesAllComplexObjects) {
 }
 
 TEST(EvaluatorTest, PredicateWithoutRuleHasEmptyGfp) {
-  graph::DataGraph g = test::MakeFigure4Database();
-  graph::LabelInterner& labels = g.labels();
+  graph::DataGraph built = test::MakeFigure4Database();
   // `ghost` is referenced but never defined: its extent must drain to
   // empty, and `t` (which requires a ghost neighbor) drains with it.
   ASSERT_OK_AND_ASSIGN(
-      Program p, ParseProgram("t(X) :- link(X, Y, a), ghost(Y).", &labels));
+      Program p,
+      ParseProgram("t(X) :- link(X, Y, a), ghost(Y).", &built.labels()));
+  const graph::FrozenGraph g(built);
   ASSERT_OK_AND_ASSIGN(Interpretation m, Evaluate(p, g));
   EXPECT_TRUE(m.extents[p.FindPred("ghost")].None());
   EXPECT_TRUE(m.extents[p.FindPred("t")].None());
@@ -249,12 +253,13 @@ TEST(EvaluatorTest, PredicateWithoutRuleHasEmptyGfp) {
 TEST(EvaluatorTest, DisconnectedBodyComponent) {
   // q(X) holds iff X has label-a edge AND somewhere in the graph some
   // object has a c-edge to an atomic (disconnected existential).
-  graph::DataGraph g = test::MakeFigure4Database();
+  graph::DataGraph built = test::MakeFigure4Database();
   ASSERT_OK_AND_ASSIGN(
       Program p,
       ParseProgram("q(X) :- link(X, Y, b), atomic(Y), link(Z, W, c), "
                    "atomic(W).",
-                   &g.labels()));
+                   &built.labels()));
+  const graph::FrozenGraph g(built);
   ASSERT_OK_AND_ASSIGN(Interpretation m, Evaluate(p, g));
   EXPECT_EQ(m.extents[0].Count(), 3u);  // o2, o3, o4 (o4 provides the c)
 }

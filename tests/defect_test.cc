@@ -7,7 +7,7 @@
 namespace schemex::typing {
 namespace {
 
-graph::ObjectId Obj(const graph::DataGraph& g, const char* name) {
+graph::ObjectId Obj(const graph::FrozenGraph& g, const char* name) {
   for (graph::ObjectId o = 0; o < g.NumObjects(); ++o) {
     if (g.Name(o) == name) return o;
   }
@@ -21,7 +21,7 @@ graph::ObjectId Obj(const graph::DataGraph& g, const char* name) {
 class Example22 : public ::testing::Test {
  protected:
   void SetUp() override {
-    g_ = test::MakeExample22Database();
+    g_ = graph::FrozenGraph(test::MakeExample22Database());
     graph::LabelId a = g_.labels().Find("a");
     graph::LabelId b = g_.labels().Find("b");
     graph::LabelId c = g_.labels().Find("c");
@@ -43,7 +43,7 @@ class Example22 : public ::testing::Test {
     base_.Assign(Obj(g_, "o3"), t3_);
   }
 
-  graph::DataGraph g_;
+  graph::FrozenGraph g_;
   TypingProgram p_;
   TypeId t1_, t2_, t3_;
   TypeAssignment base_;
@@ -104,7 +104,7 @@ TEST_F(Example22, ReportToStringMentionsBothComponents) {
 TEST(DefectTest, GfpAssignmentHasZeroDeficit) {
   // §2 end: "the greatest fixpoint semantics may lead to excess but
   // cannot yield deficit."
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult r, PerfectTypingViaGfp(g));
   ASSERT_OK_AND_ASSIGN(Extents m, PerfectTypingExtents(r, g));
   TypeAssignment tau = ExtentsToAssignment(m);
@@ -114,8 +114,9 @@ TEST(DefectTest, GfpAssignmentHasZeroDeficit) {
 TEST(DefectTest, PerfectTypingHasZeroDefect) {
   // The minimal perfect typing has no defect on its own database — for
   // both example databases.
-  for (graph::DataGraph g :
+  for (graph::DataGraph built :
        {test::MakeFigure2Database(), test::MakeFigure4Database()}) {
+    const graph::FrozenGraph g(built);
     ASSERT_OK_AND_ASSIGN(PerfectTypingResult r, PerfectTypingViaGfp(g));
     ASSERT_OK_AND_ASSIGN(Extents m, PerfectTypingExtents(r, g));
     DefectReport report =
@@ -125,7 +126,7 @@ TEST(DefectTest, PerfectTypingHasZeroDefect) {
 }
 
 TEST(DefectTest, UntypedGraphIsAllExcess) {
-  graph::DataGraph g = test::MakeFigure2Database();
+  const graph::FrozenGraph g(test::MakeFigure2Database());
   TypingProgram empty_program;
   TypeAssignment tau(g.NumObjects());
   DefectReport r = ComputeDefect(empty_program, g, tau);
@@ -139,7 +140,7 @@ TEST(DefectTest, IncomingRequirementWitnessedByAssignment) {
   graph::GraphBuilder b;
   ASSERT_OK(b.Edge("p", "r", "q"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   ASSERT_OK(st);
   graph::LabelId rl = g.labels().Find("r");
   TypingProgram p;
@@ -166,9 +167,10 @@ TEST(DefectTest, DuplicateInventedFactsCountOnce) {
   ASSERT_OK(b.Complex("x"));
   ASSERT_OK(b.Atomic("v", "1"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  graph::DataGraph built = std::move(b).Build(&st);
   ASSERT_OK(st);
-  graph::LabelId l = g.InternLabel("m");
+  graph::LabelId l = built.InternLabel("m");
+  const graph::FrozenGraph g(built);
   TypingProgram p;
   TypeId t1 = p.AddType("t1", TypeSignature::FromLinks(
                                   {TypedLink::OutAtomic(l)}));

@@ -74,12 +74,13 @@ std::map<std::string, std::string> ReadDirBytes(const fs::path& dir) {
 catalog::Workspace MakeDbgWorkspace(uint64_t seed = 3) {
   auto g = gen::MakeDbgDataset(seed);
   EXPECT_TRUE(g.ok());
+  auto f = graph::Freeze(*g);
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
-  auto r = extract::SchemaExtractor(opt).Run(*g);
+  auto r = extract::SchemaExtractor(opt).Run(*f);
   EXPECT_TRUE(r.ok());
   catalog::Workspace ws;
-  ws.SetGraph(*g);
+  ws.graph = f;
   ws.program = r->final_program;
   ws.assignment = r->recast.assignment;
   return ws;
@@ -277,9 +278,10 @@ TEST_F(DeterminismTest, SchemaTextIdenticalAcrossIndependentExtractions) {
   for (int run = 0; run < 4; ++run) {
     auto g = gen::MakeDbgDataset(7);
     ASSERT_TRUE(g.ok());
+    auto f = graph::Freeze(*g);
     extract::ExtractorOptions opt;
     opt.target_num_types = 5;
-    auto r = extract::SchemaExtractor(opt).Run(*g);
+    auto r = extract::SchemaExtractor(opt).Run(*f);
     ASSERT_TRUE(r.ok());
     texts.push_back(
         typing::WriteTypingProgram(r->final_program, g->labels()));

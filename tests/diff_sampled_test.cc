@@ -101,17 +101,19 @@ TEST_F(DiffTest, EmptyPrograms) {
 
 TEST(DiffIntegrationTest, PerturbationShowsUpAsDrift) {
   auto g1 = gen::MakeDbgDataset(5);
+  auto f1 = graph::Freeze(*g1);
   graph::DataGraph g2 = *g1;
   gen::PerturbOptions popt;
   popt.delete_links = 5;
   popt.add_links = 15;
   popt.seed = 3;
   ASSERT_OK(gen::Perturb(&g2, popt));
+  const graph::FrozenGraph f2(g2);
 
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
-  auto r1 = extract::SchemaExtractor(opt).Run(*g1);
-  auto r2 = extract::SchemaExtractor(opt).Run(g2);
+  auto r1 = extract::SchemaExtractor(opt).Run(*f1);
+  auto r2 = extract::SchemaExtractor(opt).Run(f2);
   ASSERT_TRUE(r1.ok() && r2.ok());
   ProgramDiff d = DiffPrograms(r1->final_program, r2->final_program);
   // Same-source schemas should mostly match up (6 vs 6 types).
@@ -129,12 +131,13 @@ TEST(SampledExtractTest, SampleSchemaGeneralizes) {
   for (auto& t : spec.types) t.count *= 8;
   auto g = gen::Generate(spec, 31);
   ASSERT_TRUE(g.ok());
+  auto f = graph::Freeze(*g);
 
   extract::SampleOptions sopt;
   sopt.sample_complex_objects = g->NumComplexObjects() / 4;
   sopt.extract.target_num_types = 6;
   ASSERT_OK_AND_ASSIGN(extract::SampledExtractionResult r,
-                       extract::ExtractFromSample(*g, sopt));
+                       extract::ExtractFromSample(*f, sopt));
   EXPECT_EQ(r.program.NumTypes(), 6u);
   EXPECT_LT(r.sample_complex, g->NumComplexObjects() / 3);
   EXPECT_GT(r.sample_perfect_types, 6u);
@@ -147,19 +150,21 @@ TEST(SampledExtractTest, SampleSchemaGeneralizes) {
 
 TEST(SampledExtractTest, SampleLargerThanPopulationClamps) {
   auto g = gen::MakeDbgDataset(4);
+  auto f = graph::Freeze(*g);
   extract::SampleOptions sopt;
   sopt.sample_complex_objects = 1 << 20;
   sopt.extract.target_num_types = 6;
   ASSERT_OK_AND_ASSIGN(extract::SampledExtractionResult r,
-                       extract::ExtractFromSample(*g, sopt));
+                       extract::ExtractFromSample(*f, sopt));
   EXPECT_EQ(r.sample_complex, g->NumComplexObjects());
 }
 
 TEST(SampledExtractTest, ZeroSampleRejected) {
   auto g = gen::MakeDbgDataset(4);
+  auto f = graph::Freeze(*g);
   extract::SampleOptions sopt;
   sopt.sample_complex_objects = 0;
-  EXPECT_FALSE(extract::ExtractFromSample(*g, sopt).ok());
+  EXPECT_FALSE(extract::ExtractFromSample(*f, sopt).ok());
 }
 
 }  // namespace

@@ -25,11 +25,13 @@ TEST(EvaluatorOptionsTest, SeedAllObjectsIncludesAtomics) {
   ASSERT_OK(b.Atomic("leaf", "v"));
   ASSERT_OK(b.Edge("root", "has", "leaf"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  graph::DataGraph built = std::move(b).Build(&st);
   ASSERT_OK(st);
   ASSERT_OK_AND_ASSIGN(
       datalog::Program p,
-      datalog::ParseProgram("pointed(X) :- link(Y, X, has).", &g.labels()));
+      datalog::ParseProgram("pointed(X) :- link(Y, X, has).",
+                            &built.labels()));
+  const graph::FrozenGraph g(built);
 
   ASSERT_OK_AND_ASSIGN(datalog::Interpretation def, datalog::Evaluate(p, g));
   EXPECT_EQ(def.extents[0].Count(), 0u);  // leaf excluded by default
@@ -42,7 +44,7 @@ TEST(EvaluatorOptionsTest, SeedAllObjectsIncludesAtomics) {
 }
 
 TEST(EvaluatorOptionsTest, InvalidProgramRejected) {
-  graph::DataGraph g = test::MakeFigure2Database();
+  const graph::FrozenGraph g(test::MakeFigure2Database());
   datalog::Program p;
   datalog::PredId t = p.AddPred("t");
   p.rules.push_back(datalog::Rule{t, 1, {datalog::Atom::Idb(99, 0)}});
@@ -91,13 +93,15 @@ TEST(AssignmentEdgeTest, ResizeKeepsExisting) {
 TEST(GfpEdgeTest, EmptyProgramAndEmptyGraph) {
   graph::DataGraph g;
   typing::TypingProgram p;
-  ASSERT_OK_AND_ASSIGN(typing::Extents m, typing::ComputeGfp(p, g));
+  ASSERT_OK_AND_ASSIGN(typing::Extents m,
+                       typing::ComputeGfp(p, graph::FrozenGraph(g)));
   EXPECT_TRUE(m.per_type.empty());
 
   g.AddComplex("x");
   typing::TypingProgram p2;
   p2.AddType("t", {});
-  ASSERT_OK_AND_ASSIGN(typing::Extents m2, typing::ComputeGfp(p2, g));
+  ASSERT_OK_AND_ASSIGN(typing::Extents m2,
+                       typing::ComputeGfp(p2, graph::FrozenGraph(g)));
   EXPECT_EQ(m2.per_type[0].Count(), 1u);  // empty body matches everything
 }
 
@@ -108,7 +112,7 @@ TEST(GfpEdgeTest, SelfReferentialType) {
   ASSERT_OK(cyc.Edge("a", "next", "b"));
   ASSERT_OK(cyc.Edge("b", "next", "a"));
   util::Status st;
-  graph::DataGraph gc = std::move(cyc).Build(&st);
+  const graph::FrozenGraph gc(std::move(cyc).Build(&st));
   ASSERT_OK(st);
   typing::TypingProgram p;
   typing::TypeId t = p.AddType("t", {});
@@ -120,7 +124,7 @@ TEST(GfpEdgeTest, SelfReferentialType) {
   graph::GraphBuilder chain;
   ASSERT_OK(chain.Edge("a", "next", "b"));
   ASSERT_OK(chain.Edge("b", "next", "c"));
-  graph::DataGraph gl = std::move(chain).Build(&st);
+  const graph::FrozenGraph gl(std::move(chain).Build(&st));
   ASSERT_OK(st);
   typing::TypingProgram p2;
   typing::TypeId t2 = p2.AddType("t", {});
@@ -131,7 +135,7 @@ TEST(GfpEdgeTest, SelfReferentialType) {
 }
 
 TEST(GraphStatsTest, EmptyGraph) {
-  graph::DataGraph g;
+  const graph::FrozenGraph g;
   graph::GraphStats s = graph::ComputeStats(g);
   EXPECT_EQ(s.num_objects, 0u);
   EXPECT_TRUE(s.bipartite);  // vacuously

@@ -9,7 +9,7 @@
 namespace schemex {
 namespace {
 
-graph::ObjectId Obj(const graph::DataGraph& g, const char* name) {
+graph::ObjectId Obj(const graph::FrozenGraph& g, const char* name) {
   for (graph::ObjectId o = 0; o < g.NumObjects(); ++o) {
     if (g.Name(o) == name) return o;
   }
@@ -17,7 +17,7 @@ graph::ObjectId Obj(const graph::DataGraph& g, const char* name) {
 }
 
 TEST(ExplainTest, WitnessesPerTypedLink) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaGfp(g));
   ASSERT_OK_AND_ASSIGN(typing::Extents m,
@@ -39,7 +39,7 @@ TEST(ExplainTest, WitnessesPerTypedLink) {
 }
 
 TEST(ExplainTest, NonMemberCannotBeExplained) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaGfp(g));
   ASSERT_OK_AND_ASSIGN(typing::Extents m,
@@ -53,8 +53,9 @@ TEST(ExplainTest, NonMemberCannotBeExplained) {
 }
 
 TEST(ExplainTest, EmptyBodyExplained) {
-  graph::DataGraph g;
-  g.AddComplex("solo");
+  graph::DataGraph built;
+  built.AddComplex("solo");
+  const graph::FrozenGraph g(built);
   typing::TypingProgram p;
   p.AddType("anything", {});
   typing::Extents m;
@@ -68,7 +69,7 @@ TEST(ExplainTest, EmptyBodyExplained) {
 }
 
 TEST(SubgraphTest, KeepsListedObjectsAndInducedEdges) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   std::vector<graph::ObjectId> keep = {Obj(g, "o1"), Obj(g, "o2")};
   std::vector<graph::ObjectId> remap;
   graph::SubgraphOptions opt;
@@ -86,7 +87,7 @@ TEST(SubgraphTest, KeepsListedObjectsAndInducedEdges) {
 }
 
 TEST(SubgraphTest, WithoutAtomicNeighbors) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   graph::SubgraphOptions opt;
   opt.include_atomic_neighbors = false;
   graph::DataGraph sub =
@@ -96,7 +97,7 @@ TEST(SubgraphTest, WithoutAtomicNeighbors) {
 }
 
 TEST(SubgraphTest, AtomicObjectsCanBeKeptExplicitly) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   graph::SubgraphOptions opt;
   opt.include_atomic_neighbors = false;
   graph::DataGraph sub =
@@ -107,14 +108,14 @@ TEST(SubgraphTest, AtomicObjectsCanBeKeptExplicitly) {
 }
 
 TEST(SubgraphTest, DuplicatesAndOutOfRangeIgnored) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   graph::ObjectId o1 = Obj(g, "o1");
   graph::DataGraph sub = InducedSubgraph(g, {o1, o1, 9999});
   EXPECT_EQ(sub.NumComplexObjects(), 1u);
 }
 
 TEST(SubgraphTest, FullKeepIsIsomorphic) {
-  graph::DataGraph g = test::MakeFigure2Database();
+  const graph::FrozenGraph g(test::MakeFigure2Database());
   std::vector<graph::ObjectId> all;
   for (graph::ObjectId o = 0; o < g.NumObjects(); ++o) all.push_back(o);
   graph::DataGraph sub = InducedSubgraph(g, all);
@@ -158,7 +159,7 @@ TEST(MergeTest, ExtractionSeesBothSources) {
   graph::DataGraph a = test::MakeFigure2Database();
   graph::DataGraph m = graph::MergeGraphs(a, a);
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaGfp(m));
+                       typing::PerfectTypingViaGfp(graph::FrozenGraph(m)));
   EXPECT_EQ(stage1.program.NumTypes(), 2u);
   EXPECT_EQ(stage1.weight[0] + stage1.weight[1], 8u);
 }

@@ -12,7 +12,7 @@ namespace {
 using Stage1 = ExtractorOptions::Stage1Algorithm;
 
 TEST(ExtractorTest, PerfectOnlyWhenNoTarget) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   SchemaExtractor ex{ExtractorOptions{}};
   ASSERT_OK_AND_ASSIGN(ExtractionResult r, ex.Run(g));
   EXPECT_FALSE(r.clustering_applied);
@@ -22,7 +22,8 @@ TEST(ExtractorTest, PerfectOnlyWhenNoTarget) {
 }
 
 TEST(ExtractorTest, BothStage1AlgorithmsAgreeOnDbg) {
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset(3));
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::MakeDbgDataset(3));
+  const graph::FrozenGraph g(built);
   ExtractorOptions a;
   a.stage1 = Stage1::kGfp;
   ExtractorOptions b;
@@ -35,7 +36,8 @@ TEST(ExtractorTest, BothStage1AlgorithmsAgreeOnDbg) {
 TEST(ExtractorTest, DbgClusteringRecoversIntendedScale) {
   // The headline DBG behaviour (Fig. 1): dozens of perfect types, but 6
   // approximate types summarize the data with modest defect.
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::MakeDbgDataset());
+  const graph::FrozenGraph g(built);
   ExtractorOptions opt;
   opt.target_num_types = 6;
   ASSERT_OK_AND_ASSIGN(ExtractionResult r, SchemaExtractor(opt).Run(g));
@@ -49,7 +51,7 @@ TEST(ExtractorTest, DbgClusteringRecoversIntendedScale) {
 }
 
 TEST(ExtractorTest, RolesPassPropagatesToHomes) {
-  graph::DataGraph g = test::MakeFigure5Database();
+  const graph::FrozenGraph g(test::MakeFigure5Database());
   ExtractorOptions opt;
   opt.decompose_roles = true;
   ASSERT_OK_AND_ASSIGN(ExtractionResult r, SchemaExtractor(opt).Run(g));
@@ -65,7 +67,7 @@ TEST(ExtractorTest, RolesPassPropagatesToHomes) {
 }
 
 TEST(ExtractorTest, TargetLargerThanPerfectIsIdentity) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   ExtractorOptions opt;
   opt.target_num_types = 50;
   ASSERT_OK_AND_ASSIGN(ExtractionResult r, SchemaExtractor(opt).Run(g));
@@ -76,7 +78,8 @@ TEST(ExtractorTest, TargetLargerThanPerfectIsIdentity) {
 TEST(ExtractorTest, EmptyTypeCanAbsorbOutliers) {
   // With the empty type enabled and an aggressive target, some stage-1
   // types may map to nothing; their objects survive through recast.
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::MakeDbgDataset());
+  const graph::FrozenGraph g(built);
   ExtractorOptions opt;
   opt.target_num_types = 3;
   opt.enable_empty_type = true;
@@ -87,12 +90,13 @@ TEST(ExtractorTest, EmptyTypeCanAbsorbOutliers) {
 
 TEST(ExtractorTest, JsonPipelineEndToEnd) {
   // JSON records in, typing program out — the library's quickstart path.
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, json::ImportJson(R"([
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, json::ImportJson(R"([
     {"name": "a", "email": "a@x"},
     {"name": "b", "email": "b@x"},
     {"name": "c", "email": "c@x", "phone": "3"},
     {"name": "d", "email": "d@x", "phone": "4"}
   ])"));
+  const graph::FrozenGraph g(built);
   ExtractorOptions opt;
   opt.target_num_types = 2;
   ASSERT_OK_AND_ASSIGN(ExtractionResult r, SchemaExtractor(opt).Run(g));
@@ -102,7 +106,8 @@ TEST(ExtractorTest, JsonPipelineEndToEnd) {
 }
 
 TEST(SensitivityTest, SweepIsCompleteAndMonotoneInDistance) {
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::MakeDbgDataset());
+  const graph::FrozenGraph g(built);
   ExtractorOptions opt;
   ASSERT_OK_AND_ASSIGN(std::vector<SensitivityPoint> pts,
                        SensitivitySweep(g, opt));
@@ -119,7 +124,8 @@ TEST(SensitivityTest, SweepIsCompleteAndMonotoneInDistance) {
 
 TEST(SensitivityTest, DefectExplodesAtTinyK) {
   // Figure 6's right-to-left read: k = 1 is far worse than the knee.
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::MakeDbgDataset());
+  const graph::FrozenGraph g(built);
   ExtractorOptions opt;
   ASSERT_OK_AND_ASSIGN(std::vector<SensitivityPoint> pts,
                        SensitivitySweep(g, opt));
@@ -132,7 +138,7 @@ TEST(SensitivityTest, DefectExplodesAtTinyK) {
 }
 
 TEST(SensitivityTest, MinKRespected) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   ExtractorOptions opt;
   ASSERT_OK_AND_ASSIGN(std::vector<SensitivityPoint> pts,
                        SensitivitySweep(g, opt, /*min_k=*/2));
@@ -143,7 +149,8 @@ TEST(CancellationTest, CheckCancelAbortsBetweenStages) {
   // A counting hook makes cancellation deterministic: the first poll
   // (the Stage-1/2 boundary) succeeds, the second (Stage-2/3) cancels,
   // so the pipeline runs clustering but never recasts.
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::MakeDbgDataset());
+  const graph::FrozenGraph g(built);
   ExtractorOptions opt;
   opt.target_num_types = 6;
 
@@ -173,7 +180,8 @@ TEST(CancellationTest, CheckCancelAbortsBetweenStages) {
 }
 
 TEST(CancellationTest, SweepPollsBetweenSnapshots) {
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::MakeDbgDataset());
+  const graph::FrozenGraph g(built);
   ExtractorOptions opt;
   // Allow stage 1 plus a few snapshot recasts, then cancel: the sweep
   // must stop early instead of walking every k.

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "gen/random_graph.h"
+#include "graph/delta_overlay.h"
 #include "graph/graph_stats.h"
 #include "graph/graph_view.h"
 #include "tests/test_util.h"
@@ -95,27 +97,78 @@ TEST(FrozenGraphTest, RandomGraphRoundTrip) {
   }
 }
 
+// A DataGraph is a builder: it is frozen before anything reads it, so a
+// view wraps only the two read shapes.
+static_assert(!std::is_constructible_v<GraphView, const DataGraph&>);
+
+/// Asserts that the view `v` answers every read query exactly like the
+/// builder `g` it was made from, and returns its statistics.
+GraphStats ExpectViewAgrees(const DataGraph& g, GraphView v) {
+  EXPECT_EQ(v.NumObjects(), g.NumObjects());
+  EXPECT_EQ(v.NumComplexObjects(), g.NumComplexObjects());
+  EXPECT_EQ(v.NumAtomicObjects(), g.NumAtomicObjects());
+  EXPECT_EQ(v.NumEdges(), g.NumEdges());
+  EXPECT_EQ(v.IsBipartite(), g.IsBipartite());
+  EXPECT_EQ(v.labels().size(), g.labels().size());
+  for (LabelId l = 0; l < g.labels().size(); ++l) {
+    EXPECT_EQ(v.labels().Name(l), g.labels().Name(l));
+  }
+  std::mt19937_64 rng(g.NumEdges());
+  for (ObjectId o = 0; o < g.NumObjects(); ++o) {
+    EXPECT_EQ(v.IsAtomic(o), g.IsAtomic(o)) << "object " << o;
+    EXPECT_EQ(v.IsComplex(o), g.IsComplex(o)) << "object " << o;
+    EXPECT_EQ(v.Value(o), g.Value(o)) << "object " << o;
+    EXPECT_EQ(v.Name(o), g.Name(o)) << "object " << o;
+    std::span<const HalfEdge> vo = v.OutEdges(o), go = g.OutEdges(o);
+    EXPECT_TRUE(std::equal(vo.begin(), vo.end(), go.begin(), go.end()))
+        << "out-edges of " << o;
+    std::span<const HalfEdge> vi = v.InEdges(o), gi = g.InEdges(o);
+    EXPECT_TRUE(std::equal(vi.begin(), vi.end(), gi.begin(), gi.end()))
+        << "in-edges of " << o;
+    for (const HalfEdge& e : go) EXPECT_TRUE(v.HasEdge(o, e.other, e.label));
+    ObjectId to = static_cast<ObjectId>(rng() % g.NumObjects());
+    LabelId label = static_cast<LabelId>(rng() % g.labels().size());
+    EXPECT_EQ(v.HasEdge(o, to, label), g.HasEdge(o, to, label));
+    for (LabelId l = 0; l < g.labels().size(); ++l) {
+      EXPECT_EQ(v.HasEdgeToAtomic(o, l), g.HasEdgeToAtomic(o, l))
+          << "object " << o << " label " << l;
+    }
+  }
+  return ComputeStats(v);
+}
+
 TEST(FrozenGraphTest, GraphViewDispatchesIdentically) {
   gen::RandomGraphOptions opt;
   opt.seed = 99;
   DataGraph g = gen::RandomGraph(opt);
   auto f = Freeze(g);
+  const DeltaOverlay overlay(f);  // empty delta: reads fall through to f
 
-  GraphView vd(g), vf(*f);
-  ASSERT_EQ(vd.NumObjects(), vf.NumObjects());
+  GraphStats sf = ExpectViewAgrees(g, GraphView(*f));
+  GraphStats so = ExpectViewAgrees(g, GraphView(overlay));
+  // Statistics derived through either shape agree with the builder's
+  // own counts, and with each other field by field.
+  EXPECT_EQ(sf.num_objects, g.NumObjects());
+  EXPECT_EQ(sf.num_edges, g.NumEdges());
+  EXPECT_EQ(sf.num_labels, g.labels().size());
+  EXPECT_EQ(sf.bipartite, g.IsBipartite());
+  std::vector<size_t> histogram(g.labels().size(), 0);
   for (ObjectId o = 0; o < g.NumObjects(); ++o) {
-    EXPECT_EQ(vd.IsAtomic(o), vf.IsAtomic(o));
-    EXPECT_EQ(vd.Value(o), vf.Value(o));
-    EXPECT_EQ(vd.Name(o), vf.Name(o));
-    std::span<const HalfEdge> a = vd.OutEdges(o), b = vf.OutEdges(o);
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
+    for (const HalfEdge& e : g.OutEdges(o)) ++histogram[e.label];
   }
-  // Derived statistics agree through the view as well.
-  GraphStats sd = ComputeStats(vd), sf = ComputeStats(vf);
-  EXPECT_EQ(sd.num_edges, sf.num_edges);
-  EXPECT_EQ(sd.num_roots, sf.num_roots);
-  EXPECT_DOUBLE_EQ(sd.avg_out_degree, sf.avg_out_degree);
+  EXPECT_EQ(sf.label_histogram, histogram);
+  EXPECT_EQ(so.num_objects, sf.num_objects);
+  EXPECT_EQ(so.num_complex, sf.num_complex);
+  EXPECT_EQ(so.num_atomic, sf.num_atomic);
+  EXPECT_EQ(so.num_edges, sf.num_edges);
+  EXPECT_EQ(so.num_labels, sf.num_labels);
+  EXPECT_EQ(so.bipartite, sf.bipartite);
+  EXPECT_EQ(so.max_out_degree, sf.max_out_degree);
+  EXPECT_EQ(so.max_in_degree, sf.max_in_degree);
+  EXPECT_DOUBLE_EQ(so.avg_out_degree, sf.avg_out_degree);
+  EXPECT_EQ(so.label_histogram, sf.label_histogram);
+  EXPECT_EQ(so.num_roots, sf.num_roots);
+  EXPECT_EQ(sf.ToString(*f), so.ToString(overlay));
 }
 
 TEST(FrozenGraphTest, EmptyGraph) {

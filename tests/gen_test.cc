@@ -40,8 +40,9 @@ TEST(GenerateTest, DeterministicForSeed) {
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g1, Generate(spec, 5));
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g2, Generate(spec, 5));
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g3, Generate(spec, 6));
-  EXPECT_EQ(graph::WriteGraph(g1), graph::WriteGraph(g2));
-  EXPECT_NE(graph::WriteGraph(g1), graph::WriteGraph(g3));
+  const std::string text1 = graph::WriteGraph(graph::FrozenGraph(g1));
+  EXPECT_EQ(text1, graph::WriteGraph(graph::FrozenGraph(g2)));
+  EXPECT_NE(text1, graph::WriteGraph(graph::FrozenGraph(g3)));
 }
 
 TEST(GenerateTest, RespectsCountsAndProbabilities) {
@@ -50,7 +51,8 @@ TEST(GenerateTest, RespectsCountsAndProbabilities) {
                                 {{"always", kAtomicTarget, 1.0},
                                  {"never", kAtomicTarget, 0.0},
                                  {"half", kAtomicTarget, 0.5}}});
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, Generate(spec, 3));
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, Generate(spec, 3));
+  const graph::FrozenGraph g(built);
   EXPECT_EQ(g.NumComplexObjects(), 200u);
   graph::GraphStats s = graph::ComputeStats(g);
   graph::LabelId always = g.labels().Find("always");

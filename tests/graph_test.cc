@@ -134,14 +134,14 @@ TEST(GraphBuilderTest, EdgeFromAtomicFails) {
 }
 
 TEST(GraphIoTest, RoundTrip) {
-  DataGraph g = test::MakeFigure2Database();
+  const FrozenGraph g(test::MakeFigure2Database());
   std::string text = WriteGraph(g);
   ASSERT_OK_AND_ASSIGN(DataGraph g2, ReadGraph(text));
   EXPECT_EQ(g2.NumObjects(), g.NumObjects());
   EXPECT_EQ(g2.NumEdges(), g.NumEdges());
   EXPECT_EQ(g2.NumAtomicObjects(), g.NumAtomicObjects());
   // Content round-trips too (names preserved).
-  EXPECT_EQ(WriteGraph(g2), text);
+  EXPECT_EQ(WriteGraph(FrozenGraph(g2)), text);
 }
 
 TEST(GraphIoTest, ValueEscaping) {
@@ -149,7 +149,7 @@ TEST(GraphIoTest, ValueEscaping) {
   ObjectId c = g.AddComplex("c");
   ObjectId a = g.AddAtomic("line\n\"quoted\" \\slash", "a");
   ASSERT_OK(g.AddEdge(c, a, "v"));
-  ASSERT_OK_AND_ASSIGN(DataGraph g2, ReadGraph(WriteGraph(g)));
+  ASSERT_OK_AND_ASSIGN(DataGraph g2, ReadGraph(WriteGraph(FrozenGraph(g))));
   EXPECT_EQ(g2.Value(1), "line\n\"quoted\" \\slash");
 }
 
@@ -167,13 +167,13 @@ TEST(GraphIoTest, UnnamedObjectsGetSynthesizedNames) {
   DataGraph g;
   ObjectId c = g.AddComplex();
   ASSERT_OK(g.AddEdge(c, g.AddAtomic("v"), "x"));
-  ASSERT_OK_AND_ASSIGN(DataGraph g2, ReadGraph(WriteGraph(g)));
+  ASSERT_OK_AND_ASSIGN(DataGraph g2, ReadGraph(WriteGraph(FrozenGraph(g))));
   EXPECT_EQ(g2.NumObjects(), 2u);
   EXPECT_EQ(g2.NumEdges(), 1u);
 }
 
 TEST(GraphStatsTest, CountsAndHistogram) {
-  DataGraph g = test::MakeFigure2Database();
+  const FrozenGraph g(test::MakeFigure2Database());
   GraphStats s = ComputeStats(g);
   EXPECT_EQ(s.num_objects, 8u);
   EXPECT_EQ(s.num_complex, 4u);
@@ -188,7 +188,7 @@ TEST(GraphStatsTest, CountsAndHistogram) {
 }
 
 TEST(GraphStatsTest, RootsCounted) {
-  DataGraph g = test::MakeFigure4Database();
+  const FrozenGraph g(test::MakeFigure4Database());
   GraphStats s = ComputeStats(g);
   EXPECT_EQ(s.num_roots, 1u);  // o1
   EXPECT_EQ(s.max_out_degree, 3u);

@@ -141,7 +141,8 @@ TEST_P(GreedyDifferential, MatchesNaiveReference) {
     g = gen::RandomGraph(gopt);
     opt.target_num_types = 3;
   }
-  auto stage1 = typing::PerfectTypingViaRefinement(g);
+  const graph::FrozenGraph f(g);
+  auto stage1 = typing::PerfectTypingViaRefinement(f);
   ASSERT_TRUE(stage1.ok());
   if (stage1->program.NumTypes() < 5) GTEST_SKIP();
   if (seed == 0) {

@@ -153,16 +153,42 @@ TEST(IncrementalTest, ChainedArrivalsSeeEachOther) {
   EXPECT_EQ(tau.TypesOf(w), (std::vector<TypeId>{worker}));
 }
 
+TEST(IncrementalTest, SelfLoopArrivalTypedIndependentOfTypeOrder) {
+  // A = {->loop^B}, B = {}: an arrival whose only edge is a `loop`
+  // self-edge is a B, and through that same edge an A, whichever of the
+  // two types the program lists first.
+  for (bool a_first : {true, false}) {
+    graph::DataGraph g;
+    graph::LabelId loop = g.InternLabel("loop");
+    TypingProgram p;
+    TypeId a = a_first ? p.AddType("A", {}) : kInvalidType;
+    TypeId b = p.AddType("B", {});
+    if (!a_first) a = p.AddType("A", {});
+    p.type(a).signature =
+        TypeSignature::FromLinks({TypedLink::Out(loop, b)});
+    graph::DeltaOverlay ov(graph::Freeze(g));
+    graph::ObjectId id = ov.AddComplex();
+    ASSERT_OK(ov.AddEdge(id, id, loop));
+    TypeAssignment tau(ov.NumObjects());
+
+    EXPECT_TRUE(TypeArrival(p, ov, &tau, id)) << "A first: " << a_first;
+    EXPECT_TRUE(tau.Has(id, a)) << "A first: " << a_first;
+    EXPECT_TRUE(tau.Has(id, b)) << "A first: " << a_first;
+    EXPECT_EQ(tau.TypesOf(id).size(), 2u) << "A first: " << a_first;
+  }
+}
+
 TEST(IncrementalTest, EndToEndWithExtractor) {
   // Extract a 6-type DBG schema, then stream a new publication-shaped
   // object at it.
   auto g = gen::MakeDbgDataset();
+  auto f = graph::Freeze(*g);
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
-  auto r = extract::SchemaExtractor(opt).Run(*g);
+  auto r = extract::SchemaExtractor(opt).Run(*f);
   ASSERT_TRUE(r.ok());
 
-  graph::DeltaOverlay ov(graph::Freeze(*g));
+  graph::DeltaOverlay ov(f);
   TypeAssignment tau = r->recast.assignment;
   // Find a db_person to author the new publication.
   graph::ObjectId person = graph::kInvalidObject;

@@ -23,13 +23,14 @@ namespace {
 
 TEST(IntegrationTest, XmlToSortedSchema) {
   // XML feed -> atomic sorts -> extraction: the schema shows value sorts.
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph raw, xml::ImportXml(R"(
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph raw_built, xml::ImportXml(R"(
 <people>
   <person><name>ada</name><born>1815</born><site>https://a.io</site></person>
   <person><name>alan</name><born>1912</born></person>
   <person><name>grace</name><born>1906</born><site>https://g.io</site></person>
 </people>)"));
-  graph::DataGraph g = typing::RefineAtomicSorts(raw);
+  const graph::FrozenGraph raw(raw_built);
+  const graph::FrozenGraph g(typing::RefineAtomicSorts(raw));
   extract::ExtractorOptions opt;
   opt.target_num_types = 2;
   ASSERT_OK_AND_ASSIGN(extract::ExtractionResult r,
@@ -49,12 +50,13 @@ TEST(IntegrationTest, RolesPlusClusteringPipeline) {
     (void)g.AddEdge(t, g.AddAtomic("T"), "team_name");
     if (i % 2 == 0) (void)g.AddEdge(t, g.AddAtomic("E"), "league");
   }
+  const graph::FrozenGraph f(g);
   extract::ExtractorOptions opt;
   opt.decompose_roles = true;
   opt.target_num_types = 3;
   opt.stage1 = extract::ExtractorOptions::Stage1Algorithm::kGfp;
   ASSERT_OK_AND_ASSIGN(extract::ExtractionResult r,
-                       extract::SchemaExtractor(opt).Run(g));
+                       extract::SchemaExtractor(opt).Run(f));
   EXPECT_TRUE(r.roles_applied);
   EXPECT_EQ(r.roles.num_eliminated, 1u);  // the soccer+movie composite
   EXPECT_EQ(r.num_final_types, 3u);
@@ -73,9 +75,10 @@ TEST(IntegrationTest, RolesPlusClusteringPipeline) {
 TEST(IntegrationTest, SaveReloadThenTypeNewArrivals) {
   // Extract -> persist -> reload in a "new process" -> stream arrivals.
   auto g = gen::MakeDbgDataset(8);
+  auto f = graph::Freeze(*g);
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
-  auto r = extract::SchemaExtractor(opt).Run(*g);
+  auto r = extract::SchemaExtractor(opt).Run(*f);
   ASSERT_TRUE(r.ok());
 
   std::string schema_text =
@@ -86,9 +89,10 @@ TEST(IntegrationTest, SaveReloadThenTypeNewArrivals) {
   ASSERT_OK_AND_ASSIGN(typing::TypingProgram loaded,
                        typing::ReadTypingProgram(schema_text,
                                                  &g2->labels()));
+  auto f2 = graph::Freeze(*g2);
   std::vector<std::vector<typing::TypeId>> no_homes(g2->NumObjects());
   ASSERT_OK_AND_ASSIGN(typing::RecastResult recast,
-                       typing::Recast(loaded, *g2, no_homes));
+                       typing::Recast(loaded, *f2, no_homes));
 
   // Arrivals land in an overlay over the frozen data, as the service's
   // apply_delta adds them.
@@ -110,20 +114,21 @@ TEST(IntegrationTest, SaveReloadThenTypeNewArrivals) {
 TEST(IntegrationTest, KneeDrivenExtractionThenQuery) {
   // Sweep -> knee -> extract at the knee -> schema-guided query.
   auto g = gen::MakeDbgDataset();
+  auto f = graph::Freeze(*g);
   extract::ExtractorOptions opt;
   ASSERT_OK_AND_ASSIGN(std::vector<extract::SensitivityPoint> pts,
-                       extract::SensitivitySweep(*g, opt));
+                       extract::SensitivitySweep(*f, opt));
   extract::Knee knee = extract::FindKnee(pts);
   ASSERT_GT(knee.k, 1u);
   ASSERT_LE(knee.k, 20u);
 
   opt.target_num_types = knee.k;
   ASSERT_OK_AND_ASSIGN(extract::ExtractionResult r,
-                       extract::SchemaExtractor(opt).Run(*g));
+                       extract::SchemaExtractor(opt).Run(*f));
   query::SchemaGuide guide(r.final_program, r.recast.assignment);
   ASSERT_OK_AND_ASSIGN(query::PathQuery q,
                        query::ParsePathQuery("author.name"));
-  auto hits = guide.Evaluate(*g, q);
+  auto hits = guide.Evaluate(*f, q);
   EXPECT_FALSE(hits.empty());
 }
 
@@ -133,12 +138,12 @@ TEST(IntegrationTest, JsonReportEndToEnd) {
     {"sku": "a2", "price": "19.99", "sale": "true"},
     {"sku": "a3", "price": "5.00"}
   ])"));
+  catalog::Workspace ws;
+  ws.SetGraph(g);
   extract::ExtractorOptions opt;
   opt.target_num_types = 2;
   ASSERT_OK_AND_ASSIGN(extract::ExtractionResult r,
-                       extract::SchemaExtractor(opt).Run(g));
-  catalog::Workspace ws;
-  ws.SetGraph(g);
+                       extract::SchemaExtractor(opt).Run(*ws.graph));
   ws.program = r.final_program;
   ws.assignment = r.recast.assignment;
   ASSERT_OK(ws.Validate());
@@ -149,10 +154,11 @@ TEST(IntegrationTest, JsonReportEndToEnd) {
 
 TEST(IntegrationTest, ExplainWhyAfterExtraction) {
   auto g = gen::MakeDbgDataset();
+  auto f = graph::Freeze(*g);
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
   ASSERT_OK_AND_ASSIGN(extract::ExtractionResult r,
-                       extract::SchemaExtractor(opt).Run(*g));
+                       extract::SchemaExtractor(opt).Run(*f));
   // Pick any exactly-typed object and explain one of its GFP memberships.
   bool explained = false;
   for (graph::ObjectId o = 0; o < g->NumObjects() && !explained; ++o) {
@@ -162,7 +168,7 @@ TEST(IntegrationTest, ExplainWhyAfterExtraction) {
       }
       ASSERT_OK_AND_ASSIGN(
           typing::MembershipExplanation why,
-          typing::ExplainMembership(r.final_program, *g, r.recast.gfp, o,
+          typing::ExplainMembership(r.final_program, *f, r.recast.gfp, o,
                                     static_cast<typing::TypeId>(t)));
       EXPECT_EQ(why.witnesses.size(),
                 r.final_program.type(static_cast<typing::TypeId>(t))

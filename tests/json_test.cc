@@ -129,12 +129,13 @@ TEST(ImportTest, ScalarRoot) {
 TEST(ImportTest, RecordsCollectionIsSchemaExtractable) {
   // The motivating workload: many similar JSON records with optional
   // fields — exactly the paper's "member home pages" scenario.
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, ImportJson(R"([
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, ImportJson(R"([
     {"name": "a", "email": "a@x", "phone": "1"},
     {"name": "b", "email": "b@x"},
     {"name": "c", "email": "c@x", "phone": "3"},
     {"name": "d", "photo": "d.gif"}
   ])"));
+  const graph::FrozenGraph g(built);
   graph::GraphStats s = graph::ComputeStats(g);
   EXPECT_EQ(s.num_complex, 5u);
   EXPECT_EQ(s.num_edges, 4u + 10u);  // 4 item edges + 10 field edges

@@ -108,7 +108,7 @@ class SmallInstance : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(SmallInstance, ExactIsNoWorseThanHeuristics) {
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
   if (stage1.program.NumTypes() > 8 || stage1.program.NumTypes() < 2) {
@@ -153,11 +153,12 @@ TEST(ExactTest, GuardsAgainstBlowUp) {
     (void)g.AddEdge(c, g.AddAtomic("v"),
                     "l" + std::to_string(i));  // all distinct types
   }
+  const graph::FrozenGraph f(g);
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaRefinement(f));
   ExactOptions opt;
   opt.k = 3;
-  EXPECT_EQ(ExactOptimalTyping(g, stage1, opt).status().code(),
+  EXPECT_EQ(ExactOptimalTyping(f, stage1, opt).status().code(),
             util::StatusCode::kFailedPrecondition);
 }
 
@@ -165,11 +166,12 @@ TEST(ExactTest, SingleTypeInstance) {
   graph::DataGraph g;
   graph::ObjectId c = g.AddComplex();
   (void)g.AddEdge(c, g.AddAtomic("v"), "x");
+  const graph::FrozenGraph f(g);
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaRefinement(g));
+                       typing::PerfectTypingViaRefinement(f));
   ExactOptions opt;
   opt.k = 1;
-  ASSERT_OK_AND_ASSIGN(ExactResult r, ExactOptimalTyping(g, stage1, opt));
+  ASSERT_OK_AND_ASSIGN(ExactResult r, ExactOptimalTyping(f, stage1, opt));
   EXPECT_EQ(r.defect, 0u);
   EXPECT_EQ(r.program.NumTypes(), 1u);
 }
@@ -223,7 +225,7 @@ TEST(KCenterTest, ZeroWeightMembersLoseMedoidElections) {
 TEST(ExactTest, AllZeroWeightsStillEnumerate) {
   // Zero weights collapse every medoid election to a tie (first member
   // wins) but must not break the partition search itself.
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaGfp(g));
   std::fill(stage1.weight.begin(), stage1.weight.end(), 0u);
@@ -239,7 +241,7 @@ TEST(ExactTest, AllZeroWeightsStillEnumerate) {
 }
 
 TEST(ExactTest, KOneForcesFullMerge) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaGfp(g));
   ExactOptions opt;

@@ -142,9 +142,10 @@ TEST(DotExportTest, EscapesSpecialCharacters) {
 
 TEST(DotExportTest, DbgSchemaRenders) {
   auto g = gen::MakeDbgDataset();
+  auto f = graph::Freeze(*g);
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
-  auto r = extract::SchemaExtractor(opt).Run(*g);
+  auto r = extract::SchemaExtractor(opt).Run(*f);
   ASSERT_TRUE(r.ok());
   typing::DotOptions dopt;
   dopt.weights.assign(r->clustering.final_weights.begin(),

@@ -96,7 +96,7 @@ class ParallelClusterProperty : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(ParallelClusterProperty, GreedyIdenticalAcrossThreadCounts) {
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
   for (PsiKind psi : {PsiKind::kPsi2, PsiKind::kPsi1, PsiKind::kSimpleD,
@@ -122,7 +122,7 @@ TEST_P(ParallelClusterProperty, GreedyIdenticalAcrossThreadCounts) {
 }
 
 TEST_P(ParallelClusterProperty, KCenterIdenticalAcrossThreadCounts) {
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
   ASSERT_OK_AND_ASSIGN(
@@ -142,7 +142,7 @@ TEST_P(ParallelClusterProperty, RecastIdenticalAcrossThreadCounts) {
   // Cluster aggressively with the empty type on, so the recast has real
   // stragglers (homes dropped by empty moves) exercising the fallback,
   // then pin assignment identity across runs.
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
   ClusteringOptions copt;
@@ -221,7 +221,7 @@ TEST(ParallelCluster, StragglerSeesEarlierFallbackAssignment) {
   EXPECT_OK(b.Edge("o0", "m", "o1"));
   EXPECT_OK(b.Edge("o1", "m", "o2"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   ASSERT_OK(st);
   graph::LabelId x = g.labels().Find("x");
   graph::LabelId m = g.labels().Find("m");
@@ -251,7 +251,8 @@ TEST(ParallelCluster, DbgRescanCountIsPinned) {
   // changed, its cached destination died, or re-pricing found it dearer;
   // the matrix-based clusterer this replaced rescanned 672 times here
   // (every source whose cached move went into the merge's destination).
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::MakeDbgDataset());
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::MakeDbgDataset());
+  const graph::FrozenGraph g(built);
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaHashRefinement(g));
   ClusteringOptions copt;
@@ -270,7 +271,8 @@ TEST(ParallelCluster, Stage2CancellationBeforeMergeSteps) {
   // poll of a fresh run — the abort must surface mid-stage, with the
   // hook's status verbatim.
   gen::DatasetSpec spec = gen::DbgSpec();
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 4242));
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::Generate(spec, 4242));
+  const graph::FrozenGraph g(built);
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
   ClusteringOptions copt;
@@ -303,7 +305,8 @@ TEST(ParallelCluster, Stage2CancellationBeforeMergeSteps) {
 
 TEST(ParallelCluster, Stage3CancellationMidRecast) {
   gen::DatasetSpec spec = gen::DbgSpec();
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 4242));
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::Generate(spec, 4242));
+  const graph::FrozenGraph g(built);
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
   std::vector<std::vector<TypeId>> homes(g.NumObjects());

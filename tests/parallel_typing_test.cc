@@ -56,7 +56,7 @@ class ParallelRefinementProperty : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(ParallelRefinementProperty, HashRefinementMatchesReference) {
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult ref,
                        typing::PerfectTypingViaRefinement(g));
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult got,
@@ -68,7 +68,7 @@ TEST_P(ParallelRefinementProperty, ForcedHashCollisionsStillExact) {
   // With every signature hashed to the same bucket, the exact
   // collision-verification fallback (previous-block compare + link-span
   // compare) carries the whole partition alone.
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult ref,
                        typing::PerfectTypingViaRefinement(g));
   typing::ExecOptions exec;
@@ -79,7 +79,7 @@ TEST_P(ParallelRefinementProperty, ForcedHashCollisionsStillExact) {
 }
 
 TEST_P(ParallelRefinementProperty, ParallelGfpMatchesSequential) {
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
   typing::GfpStats seq_stats;
@@ -97,7 +97,7 @@ TEST_P(ParallelRefinementProperty, ParallelGfpMatchesSequential) {
 }
 
 TEST_P(ParallelRefinementProperty, GfpBasedTypingMatchesUnderThreads) {
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult seq,
                        typing::PerfectTypingViaGfp(g));
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult par,
@@ -113,7 +113,8 @@ TEST(ParallelRefinement, DbgDatasetIdenticalAcrossThreadCounts) {
   // real multi-round refinement, unlike the random graphs above.
   gen::DatasetSpec spec = gen::DbgSpec();
   for (auto& t : spec.types) t.count *= 5;
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 4242));
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::Generate(spec, 4242));
+  const graph::FrozenGraph g(built);
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult ref,
                        typing::PerfectTypingViaRefinement(g));
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult got,
@@ -126,7 +127,8 @@ TEST(ParallelRefinement, DbgDatasetIdenticalAcrossThreadCounts) {
 
 TEST(ParallelRefinement, CancellationBetweenRounds) {
   gen::DatasetSpec spec = gen::DbgSpec();
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 4242));
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::Generate(spec, 4242));
+  const graph::FrozenGraph g(built);
 
   // Count how many rounds a full run polls, then cancel one poll early
   // on a fresh run — the abort must surface the hook's status verbatim.
@@ -167,7 +169,7 @@ TEST(ParallelGfp, WorklistPollsCancellation) {
   EXPECT_OK(b.Edge("o0", "l", "o1"));
   EXPECT_OK(b.Edge("o1", "l", "o2"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   ASSERT_OK(st);
 
   graph::LabelId l = g.labels().Find("l");
@@ -196,7 +198,8 @@ TEST(ParallelExtractor, CancellationInsideStage1) {
   // A hook that fails from the very first poll aborts inside Stage 1 —
   // before any stage boundary — and the status propagates verbatim.
   gen::DatasetSpec spec = gen::DbgSpec();
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 7));
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::Generate(spec, 7));
+  const graph::FrozenGraph g(built);
   extract::ExtractorOptions opt;
   std::atomic<size_t> polls{0};
   opt.check_cancel = [&polls] {

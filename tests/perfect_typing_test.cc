@@ -12,7 +12,7 @@
 namespace schemex::typing {
 namespace {
 
-graph::ObjectId Obj(const graph::DataGraph& g, const char* name) {
+graph::ObjectId Obj(const graph::FrozenGraph& g, const char* name) {
   for (graph::ObjectId o = 0; o < g.NumObjects(); ++o) {
     if (g.Name(o) == name) return o;
   }
@@ -37,7 +37,7 @@ std::vector<std::vector<graph::ObjectId>> Partition(
 
 class Example42 : public ::testing::TestWithParam<bool> {
  protected:
-  util::StatusOr<PerfectTypingResult> RunStage1(const graph::DataGraph& g) {
+  util::StatusOr<PerfectTypingResult> RunStage1(const graph::FrozenGraph& g) {
     return GetParam() ? PerfectTypingViaGfp(g) : PerfectTypingViaRefinement(g);
   }
 };
@@ -45,7 +45,7 @@ class Example42 : public ::testing::TestWithParam<bool> {
 TEST_P(Example42, FigureFourYieldsThreeTypes) {
   // The paper's Example 4.2: candidate types type2 and type3 have equal
   // extents {o2,o3,o4} and merge; the minimal perfect typing has 3 types.
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult r, RunStage1(g));
   EXPECT_EQ(r.program.NumTypes(), 3u);
 
@@ -85,7 +85,7 @@ TEST_P(Example42, FigureFourYieldsThreeTypes) {
 }
 
 TEST_P(Example42, PerfectTypingHasZeroDeficitOnHomes) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult r, RunStage1(g));
   // Every object satisfies its home type exactly: the home assignment is
   // contained in the GFP extents.
@@ -99,7 +99,7 @@ TEST_P(Example42, PerfectTypingHasZeroDeficitOnHomes) {
 TEST_P(Example42, ExtentsMayOverlapHomes) {
   // §4.2: no negation, so an object with extra links is also in richer
   // types' extents — o4 lands in o2's home type as well.
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult r, RunStage1(g));
   ASSERT_OK_AND_ASSIGN(Extents m, PerfectTypingExtents(r, g));
   TypeId h2 = r.home[Obj(g, "o2")];
@@ -113,7 +113,7 @@ INSTANTIATE_TEST_SUITE_P(BothAlgorithms, Example42, ::testing::Bool(),
 
 TEST(PerfectTypingTest, RegularDataGetsOneTypePerIntendedType) {
   // Figure 2 is perfectly regular: 2 complex "shapes" -> 2 perfect types.
-  graph::DataGraph g = test::MakeFigure2Database();
+  const graph::FrozenGraph g(test::MakeFigure2Database());
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult r, PerfectTypingViaGfp(g));
   EXPECT_EQ(r.program.NumTypes(), 2u);
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult r2, PerfectTypingViaRefinement(g));
@@ -121,7 +121,7 @@ TEST(PerfectTypingTest, RegularDataGetsOneTypePerIntendedType) {
 }
 
 TEST(PerfectTypingTest, EmptyAndDegenerateGraphs) {
-  graph::DataGraph empty;
+  const graph::FrozenGraph empty;
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult r, PerfectTypingViaGfp(empty));
   EXPECT_EQ(r.program.NumTypes(), 0u);
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult r2,
@@ -130,7 +130,8 @@ TEST(PerfectTypingTest, EmptyAndDegenerateGraphs) {
 
   graph::DataGraph lonely;
   lonely.AddComplex("x");
-  ASSERT_OK_AND_ASSIGN(PerfectTypingResult r3, PerfectTypingViaGfp(lonely));
+  ASSERT_OK_AND_ASSIGN(PerfectTypingResult r3,
+                       PerfectTypingViaGfp(graph::FrozenGraph(lonely)));
   EXPECT_EQ(r3.program.NumTypes(), 1u);
   EXPECT_TRUE(r3.program.type(0).signature.empty());
 }
@@ -138,7 +139,8 @@ TEST(PerfectTypingTest, EmptyAndDegenerateGraphs) {
 TEST(PerfectTypingTest, IsolatedObjectsShareOneType) {
   graph::DataGraph g;
   for (int i = 0; i < 5; ++i) g.AddComplex();
-  ASSERT_OK_AND_ASSIGN(PerfectTypingResult r, PerfectTypingViaGfp(g));
+  ASSERT_OK_AND_ASSIGN(PerfectTypingResult r,
+                       PerfectTypingViaGfp(graph::FrozenGraph(g)));
   EXPECT_EQ(r.program.NumTypes(), 1u);
   EXPECT_EQ(r.weight[0], 5u);
 }
@@ -151,7 +153,7 @@ TEST(PerfectTypingTest, CyclesHandledByBothAlgorithms) {
   ASSERT_OK(b.Edge("p", "next", "q"));
   ASSERT_OK(b.Edge("q", "next", "p"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  const graph::FrozenGraph g(std::move(b).Build(&st));
   ASSERT_OK(st);
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult via_gfp, PerfectTypingViaGfp(g));
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult via_ref,
@@ -170,7 +172,7 @@ TEST(PerfectTypingTest, AlgorithmsAgreeOnRandomGraphs) {
     opt.num_edges = 90;
     opt.num_labels = 4;
     opt.seed = seed;
-    graph::DataGraph g = gen::RandomGraph(opt);
+    const graph::FrozenGraph g(gen::RandomGraph(opt));
     ASSERT_OK_AND_ASSIGN(PerfectTypingResult a, PerfectTypingViaGfp(g));
     ASSERT_OK_AND_ASSIGN(PerfectTypingResult b, PerfectTypingViaRefinement(g));
     EXPECT_EQ(a.program.NumTypes(), b.program.NumTypes()) << "seed " << seed;
@@ -186,7 +188,8 @@ TEST(PerfectTypingTest, AlgorithmsAgreeOnStructuredData) {
       gen::TypeSpec{"a", 20, {{"x", gen::kAtomicTarget, 1.0},
                               {"y", gen::kAtomicTarget, 0.5}}});
   spec.types.push_back(gen::TypeSpec{"b", 20, {{"z", 0, 0.8}}});
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 11));
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, gen::Generate(spec, 11));
+  const graph::FrozenGraph g(built);
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult a, PerfectTypingViaGfp(g));
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult b, PerfectTypingViaRefinement(g));
   EXPECT_EQ(Partition(a.home), Partition(b.home));
@@ -207,7 +210,7 @@ TEST(PerfectTypingTest, PerturbationExplodesPerfectTypeCount) {
   }
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g, gen::Generate(spec, 21));
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult before,
-                       PerfectTypingViaRefinement(g));
+                       PerfectTypingViaRefinement(graph::FrozenGraph(g)));
 
   gen::PerturbOptions popt;
   popt.delete_links = 5;
@@ -215,7 +218,7 @@ TEST(PerfectTypingTest, PerturbationExplodesPerfectTypeCount) {
   popt.seed = 9;
   ASSERT_OK(gen::Perturb(&g, popt));
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult after,
-                       PerfectTypingViaRefinement(g));
+                       PerfectTypingViaRefinement(graph::FrozenGraph(g)));
   EXPECT_GT(after.program.NumTypes(), before.program.NumTypes() * 2);
 }
 

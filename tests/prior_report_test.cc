@@ -13,6 +13,7 @@ TEST(PriorExtractionTest, PriorTypesStayAuthoritative) {
   // Prior: the publication shape (author + name). Extraction fills in
   // types for everything else; publication-shaped objects stay claimed.
   auto g = gen::MakeDbgDataset(3);
+  auto f = graph::Freeze(*g);
   graph::LabelId name = g->labels().Find("name");
   graph::LabelId conference = g->labels().Find("conference");
   ASSERT_NE(conference, graph::kInvalidLabel);
@@ -26,7 +27,7 @@ TEST(PriorExtractionTest, PriorTypesStayAuthoritative) {
   extract::ExtractorOptions opt;
   opt.target_num_types = 5;
   ASSERT_OK_AND_ASSIGN(extract::PriorExtractionResult r,
-                       extract::ExtractWithPrior(*g, prior, opt));
+                       extract::ExtractWithPrior(*f, prior, opt));
   EXPECT_EQ(r.num_prior_types, 1u);
   EXPECT_GT(r.num_prior_claimed, 0u);
   EXPECT_EQ(r.num_new_types, 5u);
@@ -46,20 +47,21 @@ TEST(PriorExtractionTest, PriorTypesStayAuthoritative) {
 
 TEST(PriorExtractionTest, EmptyPriorEqualsPlainExtraction) {
   auto g = gen::MakeDbgDataset(3);
+  auto f = graph::Freeze(*g);
   typing::TypingProgram empty;
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
   ASSERT_OK_AND_ASSIGN(extract::PriorExtractionResult r,
-                       extract::ExtractWithPrior(*g, empty, opt));
+                       extract::ExtractWithPrior(*f, empty, opt));
   EXPECT_EQ(r.num_prior_claimed, 0u);
   EXPECT_EQ(r.program.NumTypes(), 6u);
-  auto plain = extract::SchemaExtractor(opt).Run(*g);
+  auto plain = extract::SchemaExtractor(opt).Run(*f);
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(r.defect.defect(), plain->defect.defect());
 }
 
 TEST(PriorExtractionTest, PriorCoveringEverythingYieldsNoNewTypes) {
-  graph::DataGraph g = test::MakeFigure2Database();
+  const graph::FrozenGraph g(test::MakeFigure2Database());
   // A prior matching every complex object (requires only a name).
   typing::TypingProgram prior;
   prior.AddType("anything_named",
@@ -75,12 +77,13 @@ TEST(PriorExtractionTest, PriorCoveringEverythingYieldsNoNewTypes) {
 
 TEST(ReportTest, RendersAllSections) {
   auto g = gen::MakeDbgDataset(3);
+  auto f = graph::Freeze(*g);
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
-  auto r = extract::SchemaExtractor(opt).Run(*g);
+  auto r = extract::SchemaExtractor(opt).Run(*f);
   ASSERT_TRUE(r.ok());
   catalog::Workspace ws;
-  ws.SetGraph(*g);
+  ws.graph = f;
   ws.program = r->final_program;
   ws.assignment = r->recast.assignment;
 

@@ -32,9 +32,10 @@ TEST(ProgramIoTest, ExtractedSchemaSurvivesSaveLoad) {
   // Extract on DBG, serialize, load into a FRESH graph's interner, and
   // check the reloaded program types the regenerated data identically.
   auto g = gen::MakeDbgDataset(9);
+  auto f = graph::Freeze(*g);
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
-  auto r = extract::SchemaExtractor(opt).Run(*g);
+  auto r = extract::SchemaExtractor(opt).Run(*f);
   ASSERT_TRUE(r.ok());
 
   std::string text = WriteTypingProgram(r->final_program, g->labels());
@@ -42,8 +43,9 @@ TEST(ProgramIoTest, ExtractedSchemaSurvivesSaveLoad) {
   auto g2 = gen::MakeDbgDataset(9);  // same data, fresh interner
   ASSERT_OK_AND_ASSIGN(TypingProgram loaded,
                        ReadTypingProgram(text, &g2->labels()));
-  ASSERT_OK_AND_ASSIGN(Extents original, ComputeGfp(r->final_program, *g));
-  ASSERT_OK_AND_ASSIGN(Extents reloaded, ComputeGfp(loaded, *g2));
+  auto f2 = graph::Freeze(*g2);
+  ASSERT_OK_AND_ASSIGN(Extents original, ComputeGfp(r->final_program, *f));
+  ASSERT_OK_AND_ASSIGN(Extents reloaded, ComputeGfp(loaded, *f2));
   ASSERT_EQ(original.per_type.size(), reloaded.per_type.size());
   for (size_t t = 0; t < original.per_type.size(); ++t) {
     EXPECT_EQ(original.per_type[t].Count(), reloaded.per_type[t].Count())

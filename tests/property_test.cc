@@ -39,19 +39,19 @@ class RandomGraphProperty : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(RandomGraphProperty, GraphIoRoundTripPreservesEverything) {
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(graph::DataGraph g2, graph::ReadGraph(WriteGraph(g)));
   ASSERT_OK(g2.Validate());
   ASSERT_EQ(g.NumObjects(), g2.NumObjects());
   ASSERT_EQ(g.NumEdges(), g2.NumEdges());
   // Edge multiset identical (by names, since label ids may permute).
-  EXPECT_EQ(WriteGraph(g), WriteGraph(g2));
+  EXPECT_EQ(WriteGraph(g), WriteGraph(graph::FrozenGraph(g2)));
 }
 
 TEST_P(RandomGraphProperty, GfpIsAFixpoint) {
   // Every member of every extent satisfies its signature under the
   // extents; and extents are closed (no removable member was kept).
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
   ASSERT_OK_AND_ASSIGN(typing::Extents m,
@@ -68,7 +68,7 @@ TEST_P(RandomGraphProperty, GfpIsAFixpoint) {
 
 TEST_P(RandomGraphProperty, HomeAssignmentInsideGfpExtents) {
   // Stage-1 homes always satisfy their types exactly.
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
   ASSERT_OK_AND_ASSIGN(typing::Extents m,
@@ -81,7 +81,7 @@ TEST_P(RandomGraphProperty, HomeAssignmentInsideGfpExtents) {
 }
 
 TEST_P(RandomGraphProperty, PerfectTypingHasZeroDefect) {
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
   ASSERT_OK_AND_ASSIGN(typing::Extents m,
@@ -93,7 +93,7 @@ TEST_P(RandomGraphProperty, PerfectTypingHasZeroDefect) {
 
 TEST_P(RandomGraphProperty, GfpDominatesLfp) {
   // For any program, LFP extents are contained in GFP extents.
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
   datalog::Program p = stage1.program.ToDatalog();
@@ -110,7 +110,7 @@ TEST_P(RandomGraphProperty, GfpDominatesLfp) {
 }
 
 TEST_P(RandomGraphProperty, ClusteringInvariants) {
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaRefinement(g));
   if (stage1.program.NumTypes() < 3) GTEST_SKIP();
@@ -147,7 +147,7 @@ TEST_P(RandomGraphProperty, ClusteringInvariants) {
 }
 
 TEST_P(RandomGraphProperty, RecastTypesEveryComplexObject) {
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   extract::ExtractorOptions opt;
   opt.target_num_types = 4;
   ASSERT_OK_AND_ASSIGN(extract::ExtractionResult r,
@@ -164,7 +164,7 @@ TEST_P(RandomGraphProperty, RecastTypesEveryComplexObject) {
 TEST_P(RandomGraphProperty, DataGuideLookupMatchesPathEvaluation) {
   // The DataGuide's answer for a label path equals brute-force path
   // evaluation from the guide's root set.
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   auto guide = baseline::BuildStrongDataGuide(g);
   ASSERT_TRUE(guide.ok());
   std::vector<graph::ObjectId> roots = guide->nodes[0].targets;
@@ -205,7 +205,7 @@ class StructuredProperty : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(StructuredProperty, SweepDefectZeroAtPerfectK) {
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   extract::ExtractorOptions opt;
   ASSERT_OK_AND_ASSIGN(std::vector<extract::SensitivityPoint> pts,
                        extract::SensitivitySweep(g, opt));
@@ -216,7 +216,7 @@ TEST_P(StructuredProperty, SweepDefectZeroAtPerfectK) {
 TEST_P(StructuredProperty, MoreTypesNeverWorseAtTheTop) {
   // Between the perfect typing and one merge below it the defect can
   // only grow (first merge introduces the first imperfection).
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   extract::ExtractorOptions opt;
   ASSERT_OK_AND_ASSIGN(std::vector<extract::SensitivityPoint> pts,
                        extract::SensitivitySweep(g, opt));
@@ -227,7 +227,7 @@ TEST_P(StructuredProperty, MoreTypesNeverWorseAtTheTop) {
 TEST_P(StructuredProperty, IntendedTypesRecoveredAtIntendedK) {
   // Clustering down to the intended 2 types keeps each generated type's
   // objects together (majority-wise).
-  graph::DataGraph g = MakeGraph();
+  const graph::FrozenGraph g(MakeGraph());
   extract::ExtractorOptions opt;
   opt.target_num_types = 2;
   ASSERT_OK_AND_ASSIGN(extract::ExtractionResult r,

@@ -30,7 +30,9 @@ TEST(ParsePathQueryTest, Steps) {
 
 class Figure2Query : public ::testing::Test {
  protected:
-  void SetUp() override { g_ = test::MakeFigure2Database(); }
+  void SetUp() override {
+    g_ = graph::FrozenGraph(test::MakeFigure2Database());
+  }
 
   graph::ObjectId Obj(const char* name) {
     for (graph::ObjectId o = 0; o < g_.NumObjects(); ++o) {
@@ -39,7 +41,7 @@ class Figure2Query : public ::testing::Test {
     return graph::kInvalidObject;
   }
 
-  graph::DataGraph g_;
+  graph::FrozenGraph g_;
 };
 
 TEST_F(Figure2Query, SingleLabel) {
@@ -87,7 +89,7 @@ TEST_F(Figure2Query, MissingLabelShortCircuits) {
 TEST(SchemaGuideTest, PerfectTypingPruningIsExact) {
   // Zero-excess assignment => pruned evaluation returns exactly the
   // unpruned result, while visiting fewer objects.
-  auto g = gen::MakeDbgDataset();
+  auto g = graph::Freeze(*gen::MakeDbgDataset());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaGfp(*g));
   // Assignment = homes (complete, zero excess by construction).
@@ -134,15 +136,16 @@ TEST(SchemaGuideTest, StartTypesFollowSchemaEdges) {
   typing::TypeAssignment tau(g.NumObjects());
   tau.Assign(p, person);
   tau.Assign(d, dog);
+  const graph::FrozenGraph f(g);
 
   SchemaGuide guide(program, tau);
   ASSERT_OK_AND_ASSIGN(PathQuery q, ParsePathQuery("pet.name"));
-  EXPECT_EQ(guide.StartTypes(g, q), (std::vector<typing::TypeId>{person}));
-  EXPECT_EQ(guide.StartCandidates(g, q),
+  EXPECT_EQ(guide.StartTypes(f, q), (std::vector<typing::TypeId>{person}));
+  EXPECT_EQ(guide.StartCandidates(f, q),
             (std::vector<graph::ObjectId>{p}));
-  auto hits = guide.Evaluate(g, q);
+  auto hits = guide.Evaluate(f, q);
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(g.Value(hits[0]), "rex");
+  EXPECT_EQ(f.Value(hits[0]), "rex");
 
   // Incoming typed links also induce schema edges: if dog instead
   // declares <-pet^person, the same start types result.
@@ -153,7 +156,7 @@ TEST(SchemaGuideTest, StartTypesFollowSchemaEdges) {
       {typing::TypedLink::In(g.labels().Find("pet"), person2),
        typing::TypedLink::OutAtomic(g.labels().Find("name"))});
   SchemaGuide guide2(program2, tau);
-  auto starts = guide2.StartTypes(g, q);
+  auto starts = guide2.StartTypes(f, q);
   EXPECT_EQ(starts, (std::vector<typing::TypeId>{person2}));
 }
 
@@ -175,16 +178,17 @@ TEST(SchemaGuideTest, ApproximateSchemaMayUnderReport) {
   typing::TypeAssignment tau(g.NumObjects());
   tau.Assign(a, ta);
   tau.Assign(b, tb);
+  const graph::FrozenGraph f(g);
 
   SchemaGuide guide(program, tau);
   ASSERT_OK_AND_ASSIGN(PathQuery q, ParsePathQuery("secret.name"));
-  auto full = EvaluatePathQuery(g, q);
+  auto full = EvaluatePathQuery(f, q);
   EXPECT_EQ(full.size(), 1u);
-  EXPECT_TRUE(guide.Evaluate(g, q).empty());  // pruned away — as specified
+  EXPECT_TRUE(guide.Evaluate(f, q).empty());  // pruned away — as specified
 }
 
 TEST(SchemaGuideTest, AnyStarClosureOverSchema) {
-  auto g = gen::MakeDbgDataset();
+  auto g = graph::Freeze(*gen::MakeDbgDataset());
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
   auto r = extract::SchemaExtractor(opt).Run(*g);
@@ -221,7 +225,7 @@ TEST(ValueFilterTest, ParseForms) {
 }
 
 TEST(ValueFilterTest, FiltersTraversalResults) {
-  graph::DataGraph g = test::MakeFigure2Database();
+  const graph::FrozenGraph g(test::MakeFigure2Database());
   // Firms managed by someone named Gates: start filter + traversal.
   ASSERT_OK_AND_ASSIGN(PathQuery q,
                        ParsePathQuery(R"([name="Gates"].is-manager-of)"));
@@ -247,7 +251,7 @@ TEST(ValueFilterTest, FiltersTraversalResults) {
 }
 
 TEST(ValueFilterTest, SchemaGuideIgnoresFiltersSoundly) {
-  auto g = gen::MakeDbgDataset();
+  auto g = graph::Freeze(*gen::MakeDbgDataset());
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
                        typing::PerfectTypingViaGfp(*g));
   typing::TypeAssignment tau(g->NumObjects());

@@ -226,12 +226,13 @@ TEST(WorkspaceSaveRegression, ConcurrentSavesNeverMixGenerations) {
   auto make = [](size_t k) {
     auto g = gen::MakeDbgDataset(3);
     EXPECT_TRUE(g.ok());
+    auto f = graph::Freeze(*g);
     extract::ExtractorOptions opt;
     opt.target_num_types = k;
-    auto r = extract::SchemaExtractor(opt).Run(*g);
+    auto r = extract::SchemaExtractor(opt).Run(*f);
     EXPECT_TRUE(r.ok());
     catalog::Workspace ws;
-    ws.SetGraph(*g);
+    ws.graph = f;
     ws.program = r->final_program;
     ws.assignment = r->recast.assignment;
     return ws;

@@ -7,7 +7,7 @@
 namespace schemex::typing {
 namespace {
 
-graph::ObjectId Obj(const graph::DataGraph& g, const char* name) {
+graph::ObjectId Obj(const graph::FrozenGraph& g, const char* name) {
   for (graph::ObjectId o = 0; o < g.NumObjects(); ++o) {
     if (g.Name(o) == name) return o;
   }
@@ -15,7 +15,7 @@ graph::ObjectId Obj(const graph::DataGraph& g, const char* name) {
 }
 
 TEST(RecastTest, PerfectProgramRecastsExactly) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult stage1, PerfectTypingViaGfp(g));
   std::vector<std::vector<TypeId>> homes(g.NumObjects());
   for (size_t o = 0; o < stage1.home.size(); ++o) {
@@ -34,7 +34,7 @@ TEST(RecastTest, PerfectProgramRecastsExactly) {
 TEST(RecastTest, GfpTypesAddedBeyondHomes) {
   // o4 satisfies o2's home type as well (extra links) — recast puts it in
   // both.
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   ASSERT_OK_AND_ASSIGN(PerfectTypingResult stage1, PerfectTypingViaGfp(g));
   std::vector<std::vector<TypeId>> homes(g.NumObjects());
   for (size_t o = 0; o < stage1.home.size(); ++o) {
@@ -52,7 +52,7 @@ TEST(RecastTest, GfpTypesAddedBeyondHomes) {
 }
 
 TEST(RecastTest, ObjectPictureReflectsNeighborTypes) {
-  graph::DataGraph g = test::MakeFigure4Database();
+  const graph::FrozenGraph g(test::MakeFigure4Database());
   TypeAssignment tau(g.NumObjects());
   tau.Assign(Obj(g, "o2"), 7);
   TypeSignature pic = ObjectPicture(g, tau, Obj(g, "o1"));
@@ -76,10 +76,11 @@ TEST(RecastTest, NearestTypeFallback) {
   ASSERT_OK(b.Atomic("x", "1"));
   ASSERT_OK(b.Edge("lonely", "a", "x"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  graph::DataGraph built = std::move(b).Build(&st);
   ASSERT_OK(st);
-  graph::LabelId a = g.labels().Find("a");
-  graph::LabelId bb = g.InternLabel("b");
+  graph::LabelId a = built.labels().Find("a");
+  graph::LabelId bb = built.InternLabel("b");
+  const graph::FrozenGraph g(built);
   TypingProgram p;
   p.AddType("t", TypeSignature::FromLinks(
                      {TypedLink::OutAtomic(a), TypedLink::OutAtomic(bb)}));
@@ -103,10 +104,11 @@ TEST(RecastTest, NearestTypeDistanceReported) {
   ASSERT_OK(b.Atomic("x", "1"));
   ASSERT_OK(b.Edge("o", "a", "x"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  graph::DataGraph built = std::move(b).Build(&st);
   ASSERT_OK(st);
-  graph::LabelId a = g.labels().Find("a");
-  graph::LabelId c = g.InternLabel("c");
+  graph::LabelId a = built.labels().Find("a");
+  graph::LabelId c = built.InternLabel("c");
+  const graph::FrozenGraph g(built);
   TypingProgram p;
   p.AddType("far", TypeSignature::FromLinks(
                        {TypedLink::OutAtomic(c)}));                 // d = 2
@@ -129,11 +131,11 @@ TEST(RecastTest, NearestTypeTieBreaksLowestId) {
   p.AddType("t0", TypeSignature::FromLinks({TypedLink::OutAtomic(a)}));
   p.AddType("t1", TypeSignature::FromLinks({TypedLink::OutAtomic(b)}));
   TypeAssignment tau(1);
-  EXPECT_EQ(NearestType(p, g, tau, 0), 0);
+  EXPECT_EQ(NearestType(p, graph::FrozenGraph(g), tau, 0), 0);
 }
 
 TEST(RecastTest, EmptyProgram) {
-  graph::DataGraph g = test::MakeFigure2Database();
+  const graph::FrozenGraph g(test::MakeFigure2Database());
   TypingProgram empty;
   std::vector<std::vector<TypeId>> homes(g.NumObjects());
   ASSERT_OK_AND_ASSIGN(RecastResult r, Recast(empty, g, homes));
@@ -149,10 +151,11 @@ TEST(RecastTest, HomesKeptEvenWhenUnsatisfied) {
   ASSERT_OK(b.Atomic("x", "1"));
   ASSERT_OK(b.Edge("o", "a", "x"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  graph::DataGraph built = std::move(b).Build(&st);
   ASSERT_OK(st);
-  graph::LabelId a = g.labels().Find("a");
-  graph::LabelId m = g.InternLabel("missing");
+  graph::LabelId a = built.labels().Find("a");
+  graph::LabelId m = built.InternLabel("missing");
+  const graph::FrozenGraph g(built);
   TypingProgram p;
   p.AddType("t", TypeSignature::FromLinks(
                      {TypedLink::OutAtomic(a), TypedLink::OutAtomic(m)}));

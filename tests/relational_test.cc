@@ -127,7 +127,7 @@ TEST(ImportTest, PaperJustificationOneTypePerRelation) {
       ImportTables({{"emp", "name,salary\nada,100\ngrace,120\nedsger,90\n"},
                     {"dept", "title,floor\nCS,1\nNavy,2\n"}}));
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult stage1,
-                       typing::PerfectTypingViaGfp(g));
+                       typing::PerfectTypingViaGfp(graph::FrozenGraph(g)));
   EXPECT_EQ(stage1.program.NumTypes(), 2u);
   // ...and with identical attribute sets the tuples become
   // indistinguishable (the paper's caveat).
@@ -135,7 +135,7 @@ TEST(ImportTest, PaperJustificationOneTypePerRelation) {
       graph::DataGraph g2,
       ImportTables({{"r1", "a,b\n1,2\n"}, {"r2", "a,b\n3,4\n"}}));
   ASSERT_OK_AND_ASSIGN(typing::PerfectTypingResult s2,
-                       typing::PerfectTypingViaGfp(g2));
+                       typing::PerfectTypingViaGfp(graph::FrozenGraph(g2)));
   EXPECT_EQ(s2.program.NumTypes(), 1u);
 }
 

@@ -7,7 +7,7 @@
 namespace schemex::typing {
 namespace {
 
-graph::ObjectId Obj(const graph::DataGraph& g, const char* name) {
+graph::ObjectId Obj(const graph::FrozenGraph& g, const char* name) {
   for (graph::ObjectId o = 0; o < g.NumObjects(); ++o) {
     if (g.Name(o) == name) return o;
   }
@@ -17,7 +17,7 @@ graph::ObjectId Obj(const graph::DataGraph& g, const char* name) {
 class Example43 : public ::testing::Test {
  protected:
   void SetUp() override {
-    g_ = test::MakeFigure5Database();
+    g_ = graph::FrozenGraph(test::MakeFigure5Database());
     auto stage1 = PerfectTypingViaGfp(g_);
     ASSERT_TRUE(stage1.ok()) << stage1.status();
     perfect_ = std::move(stage1).value();
@@ -27,7 +27,7 @@ class Example43 : public ::testing::Test {
     movie_ = perfect_.home[Obj(g_, "o3")];
   }
 
-  graph::DataGraph g_;
+  graph::FrozenGraph g_;
   PerfectTypingResult perfect_;
   TypeId soccer_, both_, movie_;
 };
@@ -73,7 +73,7 @@ TEST_F(Example43, MinCoverSizeGuardsDecomposition) {
 
 TEST(RolesTest, NoSpuriousDecomposition) {
   // Figure 2's two types do not cover each other: nothing is eliminated.
-  graph::DataGraph g = test::MakeFigure2Database();
+  const graph::FrozenGraph g(test::MakeFigure2Database());
   auto stage1 = PerfectTypingViaGfp(g);
   ASSERT_TRUE(stage1.ok());
   RoleDecomposition d = DecomposeRoles(stage1->program);

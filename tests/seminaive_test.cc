@@ -31,14 +31,15 @@ TEST(SemiNaiveTest, TransitiveReachability) {
   ASSERT_OK(b.Edge("c", "next", "d"));
   ASSERT_OK(b.Edge("z", "next", "q"));  // disconnected from s
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  graph::DataGraph built = std::move(b).Build(&st);
   ASSERT_OK(st);
   // NOTE: reach(X) :- link(Y, X, next), reach(Y) — forward closure.
   ASSERT_OK_AND_ASSIGN(
       Program p,
       ParseProgram("reach(X) :- link(X, Y, start), atomic(Y).\n"
                    "reach(X) :- link(Y, X, next), reach(Y).",
-                   &g.labels()));
+                   &built.labels()));
+  const graph::FrozenGraph g(built);
   EvalStats stats;
   ASSERT_OK_AND_ASSIGN(Interpretation m, Evaluate(p, g, SemiNaive(), &stats));
   EXPECT_EQ(m.extents[0].Count(), 4u);  // s, a, c, d
@@ -58,7 +59,7 @@ TEST(SemiNaiveTest, MatchesNaiveOnRandomPrograms) {
     opt.num_edges = 100;
     opt.num_labels = 4;
     opt.seed = seed;
-    graph::DataGraph g = gen::RandomGraph(opt);
+    graph::DataGraph built = gen::RandomGraph(opt);
     // Non-recursive layered program: base facts then derived layers (the
     // LFP-meaningful shape; pure typing programs have empty LFPs).
     ASSERT_OK_AND_ASSIGN(
@@ -69,7 +70,8 @@ TEST(SemiNaiveTest, MatchesNaiveOnRandomPrograms) {
             "linked(X) :- link(Y, X, l2), linker(Y).\n"
             "hub(X) :- link(X, Y, l3), linked(Y), link(X, Z, l0), "
             "atomic(Z).",
-            &g.labels()));
+            &built.labels()));
+    const graph::FrozenGraph g(built);
     ASSERT_OK_AND_ASSIGN(Interpretation fast, Evaluate(p, g, SemiNaive()));
     ASSERT_OK_AND_ASSIGN(Interpretation slow, Evaluate(p, g, NaiveLfp()));
     EXPECT_EQ(fast, slow) << "seed " << seed;
@@ -79,22 +81,25 @@ TEST(SemiNaiveTest, MatchesNaiveOnRandomPrograms) {
 TEST(SemiNaiveTest, RecursiveProgramsWithEmptyLfp) {
   // Mutually recursive with no base case: LFP empty under both
   // strategies (the paper's Figure 2 observation).
-  graph::DataGraph g = test::MakeFigure2Database();
+  graph::DataGraph built = test::MakeFigure2Database();
   ASSERT_OK_AND_ASSIGN(
       Program p,
       ParseProgram("person(X) :- link(X, Y, \"is-manager-of\"), firm(Y).\n"
                    "firm(X) :- link(X, Y, \"is-managed-by\"), person(Y).",
-                   &g.labels()));
+                   &built.labels()));
+  const graph::FrozenGraph g(built);
   ASSERT_OK_AND_ASSIGN(Interpretation m, Evaluate(p, g, SemiNaive()));
   EXPECT_TRUE(m.extents[0].None());
   EXPECT_TRUE(m.extents[1].None());
 }
 
 TEST(SemiNaiveTest, GfpRequestFallsBackToNaive) {
-  graph::DataGraph g = test::MakeFigure2Database();
+  graph::DataGraph built = test::MakeFigure2Database();
   ASSERT_OK_AND_ASSIGN(
       Program p,
-      ParseProgram("named(X) :- link(X, Y, name), atomic(Y).", &g.labels()));
+      ParseProgram("named(X) :- link(X, Y, name), atomic(Y).",
+                   &built.labels()));
+  const graph::FrozenGraph g(built);
   EvalOptions opt;
   opt.strategy = Strategy::kSemiNaive;  // fixpoint stays kGreatest
   ASSERT_OK_AND_ASSIGN(Interpretation m, Evaluate(p, g, opt));
@@ -112,13 +117,14 @@ TEST(SemiNaiveTest, DeltaFiringsFarBelowNaiveChecks) {
                      "n" + std::to_string(i + 1)));
   }
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  graph::DataGraph built = std::move(b).Build(&st);
   ASSERT_OK(st);
   ASSERT_OK_AND_ASSIGN(
       Program p,
       ParseProgram("reach(X) :- link(X, Y, start), atomic(Y).\n"
                    "reach(X) :- link(Y, X, next), reach(Y).",
-                   &g.labels()));
+                   &built.labels()));
+  const graph::FrozenGraph g(built);
   EvalStats fast_stats, slow_stats;
   ASSERT_OK_AND_ASSIGN(Interpretation fast,
                        Evaluate(p, g, SemiNaive(), &fast_stats));
@@ -141,13 +147,14 @@ TEST(SemiNaiveTest, HeadUnconstrainedRule) {
   ASSERT_OK(b.Edge("a", "l", "c"));
   ASSERT_OK(b.Complex("idle"));
   util::Status st;
-  graph::DataGraph g = std::move(b).Build(&st);
+  graph::DataGraph built = std::move(b).Build(&st);
   ASSERT_OK(st);
   ASSERT_OK_AND_ASSIGN(
       Program p,
       ParseProgram("p(X) :- link(X, Y, base), atomic(Y).\n"
                    "q(X) :- link(Y, Z, l), p(Y).",
-                   &g.labels()));
+                   &built.labels()));
+  const graph::FrozenGraph g(built);
   ASSERT_OK_AND_ASSIGN(Interpretation fast, Evaluate(p, g, SemiNaive()));
   ASSERT_OK_AND_ASSIGN(Interpretation slow, Evaluate(p, g, NaiveLfp()));
   EXPECT_EQ(fast, slow);

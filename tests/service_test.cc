@@ -37,12 +37,13 @@ const Value& Field(const Value& obj, const std::string& key) {
 catalog::Workspace MakeDbgWorkspace(uint64_t seed = 3) {
   auto g = gen::MakeDbgDataset(seed);
   EXPECT_TRUE(g.ok());
+  auto f = graph::Freeze(*g);
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
-  auto r = extract::SchemaExtractor(opt).Run(*g);
+  auto r = extract::SchemaExtractor(opt).Run(*f);
   EXPECT_TRUE(r.ok());
   catalog::Workspace ws;
-  ws.SetGraph(*g);
+  ws.graph = f;
   ws.program = r->final_program;
   ws.assignment = r->recast.assignment;
   return ws;

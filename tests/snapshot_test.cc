@@ -266,12 +266,13 @@ TEST_F(SnapshotTest, WorkspaceFallsBackOnCorruptSnapshot) {
 TEST_F(SnapshotTest, WorkspaceSchemaAndAssignmentRideAlong) {
   auto g = gen::MakeDbgDataset(3);
   ASSERT_TRUE(g.ok());
+  auto f = graph::Freeze(*g);
   extract::ExtractorOptions opt;
   opt.target_num_types = 6;
-  auto r = extract::SchemaExtractor(opt).Run(*g);
+  auto r = extract::SchemaExtractor(opt).Run(*f);
   ASSERT_TRUE(r.ok());
   catalog::Workspace ws;
-  ws.SetGraph(*g);
+  ws.graph = f;
   ws.program = r->final_program;
   ws.assignment = r->recast.assignment;
   ASSERT_OK(catalog::SaveWorkspace(ws, dir_.string()));

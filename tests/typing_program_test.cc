@@ -30,8 +30,9 @@ TypingProgram MakeFigure2Program(graph::DataGraph* g) {
 }
 
 TEST(TypingProgramTest, BasicAccessors) {
-  graph::DataGraph g = test::MakeFigure2Database();
-  TypingProgram p = MakeFigure2Program(&g);
+  graph::DataGraph built = test::MakeFigure2Database();
+  TypingProgram p = MakeFigure2Program(&built);
+  const graph::FrozenGraph g(built);
   EXPECT_EQ(p.NumTypes(), 2u);
   EXPECT_EQ(p.FindType("person"), 0);
   EXPECT_EQ(p.FindType("firm"), 1);
@@ -55,8 +56,9 @@ TEST(TypingProgramTest, ValidateRejectsBadTargets) {
 }
 
 TEST(TypingProgramTest, ToStringMatchesPaperStyle) {
-  graph::DataGraph g = test::MakeFigure2Database();
-  TypingProgram p = MakeFigure2Program(&g);
+  graph::DataGraph built = test::MakeFigure2Database();
+  TypingProgram p = MakeFigure2Program(&built);
+  const graph::FrozenGraph g(built);
   std::string s = p.ToString(g.labels());
   EXPECT_NE(s.find("person : 1 ="), std::string::npos);
   EXPECT_NE(s.find("->is-manager-of^2"), std::string::npos);
@@ -64,8 +66,9 @@ TEST(TypingProgramTest, ToStringMatchesPaperStyle) {
 }
 
 TEST(TypingProgramTest, ToDatalogEvaluatesIdentically) {
-  graph::DataGraph g = test::MakeFigure2Database();
-  TypingProgram p = MakeFigure2Program(&g);
+  graph::DataGraph built = test::MakeFigure2Database();
+  TypingProgram p = MakeFigure2Program(&built);
+  const graph::FrozenGraph g(built);
 
   ASSERT_OK_AND_ASSIGN(Extents fast, ComputeGfp(p, g));
   ASSERT_OK_AND_ASSIGN(datalog::Interpretation slow,
@@ -84,8 +87,9 @@ TEST(TypingProgramTest, ToDatalogEvaluatesIdentically) {
 }
 
 TEST(TypingProgramTest, FromDatalogRoundTrip) {
-  graph::DataGraph g = test::MakeFigure2Database();
-  TypingProgram p = MakeFigure2Program(&g);
+  graph::DataGraph built = test::MakeFigure2Database();
+  TypingProgram p = MakeFigure2Program(&built);
+  const graph::FrozenGraph g(built);
   datalog::Program d = p.ToDatalog();
   ASSERT_OK_AND_ASSIGN(TypingProgram p2, TypingProgram::FromDatalog(d));
   EXPECT_EQ(p2.NumTypes(), p.NumTypes());
@@ -153,7 +157,7 @@ TEST(GfpTest, PrefilterNeverDropsGfpMembers) {
     opt.num_edges = 70;
     opt.num_labels = 3;
     opt.seed = seed;
-    graph::DataGraph g = gen::RandomGraph(opt);
+    const graph::FrozenGraph g(gen::RandomGraph(opt));
     ASSERT_OK_AND_ASSIGN(PerfectTypingResult stage1,
                          PerfectTypingViaRefinement(g));
     ASSERT_OK_AND_ASSIGN(Extents fast, ComputeGfp(stage1.program, g));
@@ -167,8 +171,9 @@ TEST(GfpTest, PrefilterNeverDropsGfpMembers) {
 }
 
 TEST(GfpTest, SatisfiesSignatureChecksWitnesses) {
-  graph::DataGraph g = test::MakeFigure2Database();
-  TypingProgram p = MakeFigure2Program(&g);
+  graph::DataGraph built = test::MakeFigure2Database();
+  TypingProgram p = MakeFigure2Program(&built);
+  const graph::FrozenGraph g(built);
   ASSERT_OK_AND_ASSIGN(Extents m, ComputeGfp(p, g));
   EXPECT_TRUE(SatisfiesSignature(p.type(0).signature, g, m, 0));   // g
   EXPECT_FALSE(SatisfiesSignature(p.type(0).signature, g, m, 2));  // m
@@ -177,8 +182,9 @@ TEST(GfpTest, SatisfiesSignatureChecksWitnesses) {
 }
 
 TEST(GfpTest, StatsPopulated) {
-  graph::DataGraph g = test::MakeFigure2Database();
-  TypingProgram p = MakeFigure2Program(&g);
+  graph::DataGraph built = test::MakeFigure2Database();
+  TypingProgram p = MakeFigure2Program(&built);
+  const graph::FrozenGraph g(built);
   GfpStats stats;
   ASSERT_OK_AND_ASSIGN(Extents m, ComputeGfp(p, g, &stats));
   (void)m;

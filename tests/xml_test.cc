@@ -97,12 +97,13 @@ TEST(XmlImportTest, NoCollapseOption) {
 }
 
 TEST(XmlImportTest, RepeatedChildrenFanOut) {
-  ASSERT_OK_AND_ASSIGN(graph::DataGraph g, ImportXml(R"(
+  ASSERT_OK_AND_ASSIGN(graph::DataGraph built, ImportXml(R"(
 <group>
   <member><name>a</name><email>a@x</email></member>
   <member><name>b</name></member>
   <member><name>c</name><email>c@x</email><photo>c.gif</photo></member>
 </group>)"));
+  const graph::FrozenGraph g(built);
   graph::GraphStats s = graph::ComputeStats(g);
   EXPECT_EQ(s.num_complex, 4u);  // group + 3 members
   // Irregular members: exactly the paper's home-page scenario. Extract!

@@ -57,7 +57,7 @@ def available() -> Tuple[bool, str]:
 
 _UNORDERED_RE = re.compile(r"\bunordered_(?:multi)?(?:map|set)\s*<")
 _VIEW_TYPE_RE = re.compile(
-    r"\b(?:basic_)?string_view\b|\bspan\s*<|\bGraphView\b|\bBitSignature\b")
+    r"\b(?:basic_)?string_view\b|\bspan\s*<|\bGraphView\b")
 
 
 def _type_spellings(t) -> str:

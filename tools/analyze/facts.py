@@ -44,8 +44,8 @@ class SortCall(NamedTuple):
 
 class ViewMember(NamedTuple):
     """A class/struct data member whose type is (or contains) a
-    non-owning view: GraphView, std::string_view, std::span,
-    BitSignature — including containers of them."""
+    non-owning view: GraphView, std::string_view, std::span —
+    including containers of them."""
     line: int
     member: str
     type_spelling: str

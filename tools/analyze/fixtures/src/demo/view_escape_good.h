@@ -13,12 +13,6 @@
 
 namespace demo {
 
-struct BitSignature {
-  std::vector<unsigned long long> words;
-};
-
-struct BitSignatureIndex {};
-
 struct Pool {
   template <typename F>
   void Submit(F&& fn) { fn(); }
@@ -35,11 +29,12 @@ class Parser {
   std::span<const char> window_;
 };
 
-class Encoded {
+class Rows {
  private:
-  BitSignatureIndex index_;
-  std::vector<BitSignature> encs_;  // OWNER: index_ — bits are index-relative
-  static constexpr std::string_view kName = "encoded";  // literal-backed
+  std::vector<unsigned char> arena_;
+  // OWNER: arena_ — each row is a slice of the arena.
+  std::vector<std::span<const unsigned char>> rows_;
+  static constexpr std::string_view kName = "rows";  // literal-backed
 };
 
 inline void SubmitByValue(Pool& pool, std::shared_ptr<int> counter) {

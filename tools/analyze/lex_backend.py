@@ -28,7 +28,7 @@ import facts
 UNORDERED_TYPES = ("unordered_map", "unordered_set", "unordered_multimap",
                    "unordered_multiset")
 
-VIEW_TYPE_IDENTS = ("GraphView", "BitSignature")
+VIEW_TYPE_IDENTS = ("GraphView",)
 # string_view via any alias (std::string_view, wstring_view, ...);
 # span only as a template id (`span<`), so a variable named span is not
 # a view type.

@@ -28,15 +28,13 @@ unstable-sort-on-ties
     argument>`.
 
 view-escape
-    A non-owning type (GraphView, std::string_view, std::span,
-    BitSignature — including containers of them) stored as a class
-    member, or a by-reference lambda capture handed to
-    ThreadPool::Submit. Views outliving their backing storage are the
-    use-after-free class the mmap'd-snapshot work (PR 6) made easy to
-    write. Fix: own the data, or annotate `// OWNER: <field>` naming
-    the keep-alive whose lifetime covers the view. (BitSignature owns
-    its words but is only meaningful relative to the BitSignatureIndex
-    that encoded it — the annotation names the index.)
+    A non-owning type (GraphView, std::string_view, std::span —
+    including containers of them) stored as a class member, or a
+    by-reference lambda capture handed to ThreadPool::Submit. Views
+    outliving their backing storage are the use-after-free class the
+    mmap'd-snapshot work (PR 6) made easy to write. Fix: own the data,
+    or annotate `// OWNER: <field>` naming the keep-alive whose
+    lifetime covers the view.
 
 unseeded-randomness
     std::random_device, srand()/rand(), or a random engine seeded from

@@ -7,9 +7,9 @@ they need types, scopes, and call structure:
   nondeterministic-iteration   unordered_map/set walks in the
                                determinism-critical stages
   unstable-sort-on-ties        std::sort + custom comparator there
-  view-escape                  GraphView / string_view / span /
-                               BitSignature stored in members, or
-                               by-ref lambda captures into the pool
+  view-escape                  GraphView / string_view / span stored
+                               in members, or by-ref lambda captures
+                               into the pool
   unseeded-randomness          random_device / srand / clock-seeded
                                engines in src/, tools/, bench/
 
